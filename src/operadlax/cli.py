@@ -45,7 +45,8 @@ from .oscillator import (
     IntegrationError,
     OscState,
     aux_algebraic,
-    rk4_path,
+    hamilton_generator,
+    rk4_linear_path,
 )
 
 __all__ = ["main", "RunConfig", "CSV_HEADER"]
@@ -238,20 +239,17 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
         ap, am, dp, dm = _aux_arrays(a0, omega, ts)
         mu = _closed_mu_at(a0, omega, ts, cvals)
     else:
-        w2 = omega * omega
-        _, qp = rk4_path(lambda y: np.array([y[1], -w2 * y[0]]), [cfg.q0, cfg.p0],
-                         cfg.t_end, cfg.steps)
+        _, qp = rk4_linear_path(hamilton_generator(omega), [cfg.q0, cfg.p0],
+                                cfg.t_end, cfg.steps)
         q, p = qp[:, 0], qp[:, 1]
-        half = 0.5 * omega
-        _, aux = rk4_path(
-            lambda y: np.array([-half * y[1], half * y[0],
-                                -3.0 * half * y[3], 3.0 * half * y[2]]),
-            [a0.a_plus, a0.a_minus, a0.d_plus, a0.d_minus],
-            cfg.t_end, cfg.steps,
-        )
+        # (A+, A-) rotate at omega/2 and (D+, D-) at 3 omega/2
+        rotation = np.kron(np.diag([0.5 * omega, 1.5 * omega]), [[0.0, -1.0], [1.0, 0.0]])
+        _, aux = rk4_linear_path(rotation, [a0.a_plus, a0.a_minus, a0.d_plus, a0.d_minus],
+                                 cfg.t_end, cfg.steps)
         ap, am, dp, dm = aux[:, 0], aux[:, 1], aux[:, 2], aux[:, 3]
         mu0 = _mu_components(a0.a_plus, a0.a_minus, a0.d_plus, a0.d_minus, cvals)
-        _, mu = rk4_path(lambda y: _explicit_rhs(y, omega), mu0, cfg.t_end, cfg.steps)
+        _, mu = rk4_linear_path(_explicit_rhs(np.eye(8), omega).T, mu0,
+                                cfg.t_end, cfg.steps)
 
     # overflow in derived columns is caught by the caller's finite-value scan
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,8 +1,10 @@
 """Harmonic oscillator flows, Lax matrices, and auxiliary phase-space functions.
 
 The Hamiltonian H(q, p) = (p^2 + w^2 q^2) / 2 generates dq/dt = p,
-dp/dt = -w^2 q.  Both the closed-form flow and a fixed-step RK4 integrator
-are provided; the classical Lax pair
+dp/dt = -w^2 q.  Both the closed-form flow and fixed-step RK4 integrators
+are provided: ``rk4_path`` for any right-hand side, and ``rk4_linear_path``
+for the constant-coefficient linear flows y' = A y used throughout the
+package.  The classical Lax pair
 
     L = [[p, w q], [w q, -p]],   M = (w/2) [[0, -1], [1, 0]]
 
@@ -47,8 +49,10 @@ __all__ = [
     "IntegrationError",
     "hamiltonian",
     "hamilton_rhs",
+    "hamilton_generator",
     "exact_flow",
     "rk4_path",
+    "rk4_linear_path",
     "rk4_integrate",
     "lax_matrices",
     "classical_lax_residual",
@@ -135,14 +139,66 @@ def rk4_path(rhs: Callable[[np.ndarray], np.ndarray], y0, t_end: float, steps: i
     return ts, ys
 
 
+def rk4_linear_path(a, y0, t_end: float, steps: int):
+    """Classical fixed-step RK4 for a linear system dy/dt = a @ y.
+
+    Same contract as ``rk4_path``.  For constant ``a`` one RK4 step is the
+    matrix P = sum_{k<=4} (h a)^k / k!, the method's stability polynomial,
+    so the trajectory is y_k = P^k y0: still RK4 with the same truncation
+    error, only rounded differently.  P is built once by Horner's rule and
+    the rows are filled by doubling, ys[m:2m] = ys[:m] @ (P^m)^T, which
+    takes O(log steps) matrix products (Moler & Van Loan, "Nineteen dubious
+    ways to compute the exponential of a matrix", 2003).  Squaring stops at
+    the last finite power of P; later rows are filled in blocks of that
+    power, so an overflowing power never reports a step before the state
+    itself turns non-finite.  The step named is the first whose state is
+    non-finite; ``rk4_path`` can stop one step earlier when its stage
+    values (such as a @ y) overflow before the state does.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    y = np.asarray(y0, dtype=float)
+    ha = (t_end / steps) * np.asarray(a, dtype=float)
+    ts = np.linspace(0.0, t_end, steps + 1)
+    ys = np.empty((steps + 1, y.size))
+    ys[0] = y
+    eye = np.eye(y.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = eye + ha / 4.0
+        for d in (3.0, 2.0, 1.0):
+            power = eye + (ha @ power) / d
+        m = stride = 1
+        while m <= steps:
+            # rows [m, m + count) are P^stride times rows [m - stride, ...)
+            count = min(stride, steps + 1 - m)
+            block = ys[m - stride : m - stride + count] @ power.T
+            bad = ~np.isfinite(block).all(axis=1)
+            if bad.any():
+                k = m + int(np.argmax(bad))
+                raise IntegrationError(
+                    f"non-finite state at step {k} (t = {ts[k]:.6g})"
+                )
+            ys[m : m + count] = block
+            m += count
+            # square only while the rows still double; after a non-finite
+            # square m passes 2 * stride and the power stays fixed
+            if m == 2 * stride and m <= steps:
+                squared = power @ power
+                if np.isfinite(squared).all():
+                    power, stride = squared, m
+    return ts, ys
+
+
+def hamilton_generator(omega: float) -> np.ndarray:
+    """Generator of Hamilton's equations on (q, p): [[0, 1], [-omega^2, 0]]."""
+    return np.array([[0.0, 1.0], [-omega * omega, 0.0]])
+
+
 def rk4_integrate(s0: OscState, t_end: float, steps: int):
     """RK4 trajectory of Hamilton's equations; list of (t, OscState) samples."""
-    w2 = s0.omega * s0.omega
-
-    def rhs(y):
-        return np.array([y[1], -w2 * y[0]])
-
-    ts, ys = rk4_path(rhs, [s0.q, s0.p], t_end, steps)
+    ts, ys = rk4_linear_path(hamilton_generator(s0.omega), [s0.q, s0.p], t_end, steps)
     return [
         (float(t), OscState(float(q), float(p), s0.omega))
         for t, (q, p) in zip(ts, ys)

@@ -122,6 +122,19 @@ def test_lax_rhs_index_dim3():
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 
+def test_lax_rhs_index_basis_matrix_matches_batched():
+    # verify_lax_representation applies the index formula to the eight basis
+    # tensors once and then the resulting 8x8 matrix to every sample
+    rng = np.random.default_rng(20)
+    mu = rng.standard_normal((400, 8)) * 10.0 ** rng.uniform(-3, 3, (400, 1))
+    for omega in (0.1, 1.0, 30.0):
+        m = m_matrix(omega).coeffs
+        ad_m = lax_rhs_index(np.eye(8).reshape(8, 2, 2, 2), m).reshape(8, 8)
+        batched = lax_rhs_index(mu.reshape(-1, 2, 2, 2), m).reshape(-1, 8)
+        scale = omega * np.abs(mu).max(axis=1)
+        assert (np.abs(mu @ ad_m - batched).max(axis=1) <= 1e-14 * scale).all()
+
+
 def test_lax_rhs_explicit_example():
     mu = StructureConstants2([1, 0, 0, 0, 0, 0, 0, 0])
     got = named(lax_rhs_explicit(mu, 2.0).values)

@@ -1,6 +1,7 @@
 """Oscillator flow, Lax matrices, auxiliary functions and their evolution laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from operadlax import (
     AuxValues,
     IntegrationError,
     OscState,
+    StructureConstants2,
     aux_algebraic,
     aux_exact_flow,
     aux_rhs,
@@ -16,10 +18,13 @@ from operadlax import (
     exact_flow,
     g_residuals,
     g_residuals_along,
+    hamilton_generator,
     hamilton_rhs,
     hamiltonian,
     lax_matrices,
+    lax_rhs_explicit,
     rk4_integrate,
+    rk4_linear_path,
     rk4_path,
 )
 
@@ -111,6 +116,72 @@ def test_rk4_path_blowup_reports_step():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError, match="step"):
             rk4_path(lambda y: y * y, np.array([1.0]), 1e6, 10)
+
+
+def test_hamilton_generator_matches_rhs():
+    s = OscState(0.7, -1.3, 2.5)
+    np.testing.assert_array_equal(hamilton_generator(2.5) @ [s.q, s.p], hamilton_rhs(s))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 1000, 10007])
+def test_rk4_linear_path_matches_loop(steps):
+    # same method as the step-by-step loop; only the rounding differs
+    rng = np.random.default_rng(steps)
+    for dim in (2, 4, 8, "mu"):
+        omega = float(10.0 ** rng.uniform(-1.0, math.log10(30.0)))
+        if dim == "mu":
+            # generator of the eight explicit Lax ODEs, column by column
+            a = np.array([lax_rhs_explicit(StructureConstants2(e), omega).values
+                          for e in np.eye(8)]).T
+        else:
+            # a rotation generator plus a small non-normal part
+            b = rng.standard_normal((dim, dim))
+            a = omega * ((b - b.T) / np.linalg.norm(b - b.T, 2)
+                         + 0.05 * rng.standard_normal((dim, dim)) / dim)
+        y0 = rng.standard_normal(len(a))
+        t_end = float(rng.uniform(0.5, 10.0)) * 2.0 * math.pi / omega
+        ts_ref, ys_ref = rk4_path(lambda y: a @ y, y0, t_end, steps)
+        ts, ys = rk4_linear_path(a, y0, t_end, steps)
+        np.testing.assert_array_equal(ts, ts_ref)
+        assert ys.shape == ys_ref.shape == (steps + 1, len(a))
+        np.testing.assert_array_equal(ys[0], y0)
+        assert np.abs(ys - ys_ref).max() <= 1e-11 * np.abs(ys_ref).max()
+
+
+def test_rk4_linear_path_validates_inputs():
+    a = hamilton_generator(1.0)
+    with pytest.raises(ValueError, match="steps"):
+        rk4_linear_path(a, [1.0, 0.0], 1.0, 0)
+    for t_end in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            rk4_linear_path(a, [1.0, 0.0], t_end, 10)
+
+
+def test_rk4_linear_path_zero_seed_stays_exactly_zero():
+    a = np.array([[0.0, 1.0, 0.5], [-9.0, 0.0, 2.0], [0.3, -4.0, 0.0]])
+    _, ys = rk4_linear_path(a, np.zeros(3), 50.0, 10007)
+    assert not ys.any()
+
+
+@pytest.mark.parametrize(
+    "y0, t_end, steps, step",
+    [
+        # the first powers of P overflow long before the tiny state does
+        ((1e-250, 0.0), 600.0, 200, 66),
+        ((1e-300, 1e-300), 60.0, 300, 159),
+        ((1.0, 0.0), 600.0, 200, 36),
+    ],
+)
+def test_rk4_linear_path_blowup_step_matches_loop(y0, t_end, steps, step):
+    # omega = 100 makes every step unstable (h omega >= 20)
+    a = hamilton_generator(100.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match=f"at step {step} "):
+            rk4_path(lambda y: a @ y, y0, t_end, steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=f"at step {step} "):
+            rk4_linear_path(a, y0, t_end, steps)
 
 
 def test_lax_matrices_example():
