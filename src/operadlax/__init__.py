@@ -2,108 +2,12 @@
 evolution of binary algebra structure constants driven by the harmonic
 oscillator."""
 
-from .multilinear import (
-    Operation,
-    evaluate,
-    frobenius_norm,
-    identity_op,
-    linear_comb,
-    make_operation,
-)
-from .operad import (
-    bracket,
-    composition_relation_residual,
-    jacobi_residual,
-    partial_compose,
-    total_compose,
-    unit_residual,
-)
-from .operadic_lax import (
-    COMPONENT_NAMES,
-    BranchLocusError,
-    CheckResult,
-    RotationResiduals,
-    SolutionParams,
-    StructureConstants2,
-    VerificationReport,
-    closed_form_mu,
-    closed_form_mu_dot,
-    g_values,
-    lax_rhs_bracket,
-    lax_rhs_explicit,
-    lax_rhs_index,
-    m_matrix,
-    pde_residual,
-    reduced_lax_residuals,
-    verify_lax_representation,
-)
-from .oscillator import (
-    AuxValues,
-    IntegrationError,
-    OscState,
-    aux_algebraic,
-    aux_exact_flow,
-    aux_rhs,
-    classical_lax_residual,
-    exact_flow,
-    g_residuals,
-    g_residuals_along,
-    hamiltonian,
-    hamilton_generator,
-    hamilton_rhs,
-    lax_matrices,
-    rk4_integrate,
-    rk4_linear_path,
-    rk4_path,
-)
+from . import multilinear, operad, operadic_lax, oscillator
+from .multilinear import *  # noqa: F401,F403
+from .operad import *  # noqa: F401,F403
+from .operadic_lax import *  # noqa: F401,F403
+from .oscillator import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Operation",
-    "make_operation",
-    "identity_op",
-    "evaluate",
-    "linear_comb",
-    "frobenius_norm",
-    "partial_compose",
-    "total_compose",
-    "bracket",
-    "composition_relation_residual",
-    "unit_residual",
-    "jacobi_residual",
-    "OscState",
-    "AuxValues",
-    "IntegrationError",
-    "hamiltonian",
-    "hamilton_rhs",
-    "hamilton_generator",
-    "exact_flow",
-    "rk4_path",
-    "rk4_linear_path",
-    "rk4_integrate",
-    "lax_matrices",
-    "classical_lax_residual",
-    "aux_algebraic",
-    "aux_exact_flow",
-    "aux_rhs",
-    "g_residuals",
-    "g_residuals_along",
-    "COMPONENT_NAMES",
-    "StructureConstants2",
-    "SolutionParams",
-    "RotationResiduals",
-    "CheckResult",
-    "VerificationReport",
-    "BranchLocusError",
-    "m_matrix",
-    "lax_rhs_bracket",
-    "lax_rhs_index",
-    "lax_rhs_explicit",
-    "closed_form_mu",
-    "closed_form_mu_dot",
-    "g_values",
-    "reduced_lax_residuals",
-    "verify_lax_representation",
-    "pde_residual",
-]
+__all__ = multilinear.__all__ + operad.__all__ + oscillator.__all__ + operadic_lax.__all__

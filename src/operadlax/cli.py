@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -35,16 +35,20 @@ from .operad import (
 from .operadic_lax import (
     COMPONENT_NAMES,
     SolutionParams,
-    _aux_arrays,
-    _closed_mu_at,
-    _explicit_rhs,
-    _mu_components,
+    closed_form_mu,
+    closed_form_path,
+    grid_lax_residual,
+    lax_generator,
     verify_lax_representation,
 )
 from .oscillator import (
     IntegrationError,
     OscState,
     aux_algebraic,
+    aux_exact_flow,
+    aux_generator,
+    energy,
+    exact_path,
     hamilton_generator,
     rk4_linear_path,
 )
@@ -82,6 +86,8 @@ class RunConfig:
     def validate(self) -> str | None:
         if not (math.isfinite(self.omega) and self.omega > 0):
             return f"omega must be positive, got {self.omega}"
+        if not (math.isfinite(self.q0) and math.isfinite(self.p0)):
+            return f"q0 and p0 must be finite, got ({self.q0}, {self.p0})"
         if self.steps < 2:
             return f"steps must be >= 2, got {self.steps}"
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -92,6 +98,10 @@ class RunConfig:
             return f"format must be csv or json, got {self.format!r}"
         if self.c is not None and len(self.c) != 8:
             return f"c must have 8 entries, got {len(self.c)}"
+        if self.c is not None and not all(math.isfinite(x) for x in self.c):
+            return f"c entries must be finite, got {self.c}"
+        if self.seed < 0:
+            return f"seed must be >= 0, got {self.seed}"
         return None
 
 
@@ -142,11 +152,17 @@ def _load_config(path: str) -> RunConfig | str:
     return cfg
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
+def _run_config(path: str | None, args: argparse.Namespace) -> RunConfig | str:
+    """The config file (defaults without one) with the flags' values on top,
+    validated; returns an error string on failure."""
+    cfg = _load_config(path) if path else RunConfig()
+    if isinstance(cfg, str):
+        return cfg
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
+    return cfg.validate() or cfg
 
 
 def _parse_c(text: str) -> list[float]:
@@ -159,15 +175,12 @@ def _parse_c(text: str) -> list[float]:
 # ---------------------------------------------------------------- axioms --
 
 
-def _random_operation(rng, dim_max: int, deg_max: int) -> Operation:
+def _random_operations(rng, dim_max: int, deg_max: int, size=None) -> list[Operation]:
+    """Random operations on one random R^d: ``size`` of them, or one drawn
+    with a scalar degree when size is None (a scalar draw and a size-1
+    draw take different numbers from the generator's stream)."""
     d = int(rng.integers(1, dim_max + 1))
-    n = int(rng.integers(1, deg_max + 1))
-    return Operation(d, n, rng.standard_normal((d,) * (n + 1)))
-
-
-def _random_triple(rng, dim_max: int, deg_max: int):
-    d = int(rng.integers(1, dim_max + 1))
-    degs = rng.integers(1, deg_max + 1, size=3)
+    degs = np.atleast_1d(rng.integers(1, deg_max + 1, size=size))
     return [Operation(d, int(n), rng.standard_normal((d,) * (int(n) + 1))) for n in degs]
 
 
@@ -180,7 +193,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         "jacobi": 0.0,
     }
     for _ in range(args.trials):
-        h, f, g = _random_triple(rng, args.dim_max, args.deg_max)
+        h, f, g = _random_operations(rng, args.dim_max, args.deg_max, 3)
         scale = 1.0 + frobenius_norm(h) * frobenius_norm(f) * frobenius_norm(g)
         for i in range(h.degree):
             for j in range(h.reduced_degree + f.reduced_degree + 1):
@@ -188,10 +201,11 @@ def cmd_axioms(args: argparse.Namespace) -> int:
                 suites["composition_relations"] = max(suites["composition_relations"], r)
         suites["jacobi"] = max(suites["jacobi"], jacobi_residual(f, g, h) / scale)
 
-        u = _random_operation(rng, args.dim_max, args.deg_max)
+        (u,) = _random_operations(rng, args.dim_max, args.deg_max)
         suites["unit"] = max(suites["unit"], unit_residual(u) / (1.0 + frobenius_norm(u)))
 
-        a, b = _random_triple(rng, args.dim_max, args.deg_max)[:2]
+        # a third operation is drawn, and unused, to keep the seeded stream
+        a, b = _random_operations(rng, args.dim_max, args.deg_max, 3)[:2]
         s = -1.0 if (a.reduced_degree * b.reduced_degree) % 2 else 1.0
         anti = np.linalg.norm(bracket(a, b).coeffs + s * bracket(b, a).coeffs)
         suites["antisymmetry"] = max(
@@ -210,66 +224,37 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- simulate --
 
 
-def _grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
-    """Per-sample || d(mu)/dt - [M, mu] || with on-grid differences.
-
-    Second-order central differences inside, second-order one-sided at the
-    endpoints, so the column scales as dt^2 for smooth trajectories.
-    """
-    dmu = np.empty_like(mu)
-    dmu[1:-1] = (mu[2:] - mu[:-2]) / (2.0 * dt)
-    dmu[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
-    dmu[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
-    return np.linalg.norm(dmu - _explicit_rhs(mu, omega), axis=1)
-
-
 def _simulate_samples(cfg: RunConfig, integrator: str):
     """Column arrays for the sample table, in header order."""
     omega = cfg.omega
-    cvals = np.asarray(cfg.resolved_c())
+    params = SolutionParams(cfg.resolved_c())
     s0 = OscState(cfg.q0, cfg.p0, omega)
     a0 = aux_algebraic(s0)
     ts = np.linspace(0.0, cfg.t_end, cfg.steps + 1)
-    dt = cfg.t_end / cfg.steps
 
     if integrator == "exact":
-        wt = omega * ts
-        q = cfg.q0 * np.cos(wt) + (cfg.p0 / omega) * np.sin(wt)
-        p = cfg.p0 * np.cos(wt) - omega * cfg.q0 * np.sin(wt)
-        ap, am, dp, dm = _aux_arrays(a0, omega, ts)
-        mu = _closed_mu_at(a0, omega, ts, cvals)
+        q, p = exact_path(s0, ts)
+        aux = astuple(aux_exact_flow(a0, omega, ts))
+        mu = closed_form_path(a0, omega, ts, params.values)
     else:
-        _, qp = rk4_linear_path(hamilton_generator(omega), [cfg.q0, cfg.p0],
-                                cfg.t_end, cfg.steps)
-        q, p = qp[:, 0], qp[:, 1]
-        # (A+, A-) rotate at omega/2 and (D+, D-) at 3 omega/2
-        rotation = np.kron(np.diag([0.5 * omega, 1.5 * omega]), [[0.0, -1.0], [1.0, 0.0]])
-        _, aux = rk4_linear_path(rotation, [a0.a_plus, a0.a_minus, a0.d_plus, a0.d_minus],
-                                 cfg.t_end, cfg.steps)
-        ap, am, dp, dm = aux[:, 0], aux[:, 1], aux[:, 2], aux[:, 3]
-        mu0 = _mu_components(a0.a_plus, a0.a_minus, a0.d_plus, a0.d_minus, cvals)
-        _, mu = rk4_linear_path(_explicit_rhs(np.eye(8), omega).T, mu0,
-                                cfg.t_end, cfg.steps)
+        def rk4(generator, y0):
+            return rk4_linear_path(generator, y0, cfg.t_end, cfg.steps)[1]
+
+        q, p = rk4(hamilton_generator(omega), [cfg.q0, cfg.p0]).T
+        aux = rk4(aux_generator(omega), astuple(a0)).T
+        mu = rk4(lax_generator(omega), closed_form_mu(a0, params).values)
 
     # overflow in derived columns is caught by the caller's finite-value scan
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = 0.5 * (p * p + omega * omega * q * q)
-        resid = _grid_lax_residual(mu, dt, omega)
-    return [ts, q, p, energy, ap, am, dp, dm] + [mu[:, k] for k in range(8)] + [resid]
+        energies = energy(q, p, omega)
+        resid = grid_lax_residual(mu, cfg.t_end / cfg.steps, omega)
+    return [ts, q, p, energies, *aux, *mu.T, resid]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.config:
-        cfg = _load_config(args.config)
-        if isinstance(cfg, str):
-            print(f"error: {cfg}", file=sys.stderr)
-            return 2
-    else:
-        cfg = RunConfig()
-    _apply_overrides(cfg, args)
-    problem = cfg.validate()
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
+    cfg = _run_config(args.config, args)
+    if isinstance(cfg, str):
+        print(f"error: {cfg}", file=sys.stderr)
         return 2
 
     try:
@@ -311,14 +296,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config_path)
+    cfg = _run_config(args.config_path, args)
     if isinstance(cfg, str):
         print(f"error: {cfg}", file=sys.stderr)
-        return 2
-    _apply_overrides(cfg, args)
-    problem = cfg.validate()
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
         return 2
 
     params = SolutionParams(cfg.resolved_c())
@@ -335,6 +315,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------------ main --
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that override RunConfig keys in both simulate and verify."""
+    parser.add_argument("--omega", type=float)
+    parser.add_argument("--q0", type=float)
+    parser.add_argument("--p0", type=float)
+    parser.add_argument("--c", type=_parse_c, help="8 comma-separated reals")
+    parser.add_argument("--t-end", dest="t_end", type=float)
+    parser.add_argument("--steps", type=int)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,14 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="sample a trajectory to CSV or JSON")
     sim.add_argument("--config", help="JSON config file; flags override its values")
-    sim.add_argument("--omega", type=float)
-    sim.add_argument("--q0", type=float)
-    sim.add_argument("--p0", type=float)
-    sim.add_argument("--c", type=_parse_c, help="8 comma-separated reals")
-    sim.add_argument("--t-end", dest="t_end", type=float)
-    sim.add_argument("--steps", type=int)
-    sim.add_argument("--tol", type=float)
-    sim.add_argument("--seed", type=int)
+    _add_run_flags(sim)
     sim.add_argument("--out", help="output path, '-' for stdout")
     sim.add_argument("--format", choices=["csv", "json"])
     sim.add_argument("--integrator", choices=["exact", "rk4"], default="exact")
@@ -369,14 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the verification pipeline from a config")
     ver.add_argument("config_path")
-    ver.add_argument("--omega", type=float)
-    ver.add_argument("--q0", type=float)
-    ver.add_argument("--p0", type=float)
-    ver.add_argument("--c", type=_parse_c, help="8 comma-separated reals")
-    ver.add_argument("--t-end", dest="t_end", type=float)
-    ver.add_argument("--steps", type=int)
-    ver.add_argument("--tol", type=float)
-    ver.add_argument("--seed", type=int)
+    _add_run_flags(ver)
     ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -394,6 +372,8 @@ def main(argv=None) -> int:
             parser.error(f"--deg-max must be in [1, 3], got {args.deg_max}")
         if not (args.tol > 0):
             parser.error(f"--tol must be positive, got {args.tol}")
+        if args.seed < 0:
+            parser.error(f"--seed must be >= 0, got {args.seed}")
     return args.func(args)
 
 

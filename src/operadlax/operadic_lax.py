@@ -14,6 +14,10 @@ and, for dim 2 with the specific M above, eight explicit linear ODEs
 (``lax_rhs_explicit``).  All three right-hand-side routes are implemented
 independently; their agreement is a test target, not an assumption.
 
+The equation is linear in mu: ``lax_generator`` is its 8x8 matrix, built
+once from the index form on the basis tensors; it drives the RK4 runs of
+mu and the verifier's Lax residual.
+
 The general solution is an 8-parameter family, linear in the parameters
 C1..C8 and in the oscillator's auxiliary functions (A+, A-, D+, D-)
 (``closed_form_mu``).  The residual of the eight ODEs for that family
@@ -40,13 +44,20 @@ import numpy as np
 
 from .multilinear import Operation
 from .operad import bracket
-from .oscillator import (
+from .oscillator import (  # g_values is re-exported from its former home
     AuxValues,
     IntegrationError,
     OscState,
+    RotationResiduals,
+    _check_omega,
     aux_algebraic,
+    aux_exact_flow,
+    energy,
+    g_values,
     hamilton_generator,
+    hamilton_rhs,
     hamiltonian,
+    m_matrix,
     rk4_linear_path,
 )
 
@@ -54,17 +65,17 @@ __all__ = [
     "COMPONENT_NAMES",
     "StructureConstants2",
     "SolutionParams",
-    "RotationResiduals",
     "CheckResult",
     "VerificationReport",
     "BranchLocusError",
-    "m_matrix",
     "lax_rhs_bracket",
     "lax_rhs_index",
     "lax_rhs_explicit",
+    "lax_generator",
     "closed_form_mu",
     "closed_form_mu_dot",
-    "g_values",
+    "closed_form_path",
+    "grid_lax_residual",
     "reduced_lax_residuals",
     "verify_lax_representation",
     "pde_residual",
@@ -132,16 +143,6 @@ class SolutionParams:
 
 
 @dataclass(frozen=True)
-class RotationResiduals:
-    """Residuals of the aux rotation laws: (G(A)+, G(A)-, G(D)+, G(D)-)."""
-
-    a_plus: float
-    a_minus: float
-    d_plus: float
-    d_minus: float
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     max_residual: float
@@ -172,13 +173,6 @@ class VerificationReport:
             ],
             "config": dict(self.config),
         }
-
-
-def m_matrix(omega: float) -> Operation:
-    """The constant rotation generator (omega/2) [[0, -1], [1, 0]]."""
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    return Operation(2, 1, 0.5 * omega * np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def lax_rhs_bracket(mu: Operation, m: Operation) -> Operation:
@@ -236,13 +230,20 @@ def lax_rhs_explicit(mu: StructureConstants2, omega: float) -> StructureConstant
     An independent route to the same right-hand side as ``lax_rhs_bracket``
     and ``lax_rhs_index``; the triple agreement is asserted by the tests.
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
+    _check_omega(omega)
     return StructureConstants2(_explicit_rhs(mu.values, omega))
 
 
-def _mu_components(ap, am, dp, dm, c: np.ndarray) -> np.ndarray:
+def lax_generator(omega: float) -> np.ndarray:
+    """The 8x8 matrix A of d(mu)/dt = A mu in the canonical component order:
+    ``lax_rhs_index`` applied once to the eight basis tensors."""
+    basis = np.eye(8).reshape(8, 2, 2, 2)
+    return lax_rhs_index(basis, m_matrix(omega).coeffs).reshape(8, 8).T
+
+
+def _mu_components(aux: AuxValues, c: np.ndarray) -> np.ndarray:
     """The eight closed-form components; broadcasts over array aux values."""
+    ap, am, dp, dm = aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus
     c1, c2, c3, c4, c5, c6, c7, c8 = c
     return np.stack(
         [
@@ -263,28 +264,34 @@ def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants
     """Structure constants of the closed-form solution family.
 
     Linear both in the parameters and in (A+, A-, D+, D-); evaluated on an
-    aux trajectory it solves the operadic Lax equation.
+    aux trajectory it solves the operadic Lax equation.  Being linear with
+    constant coefficients, the same map sends aux rates to d(mu)/dt, so
+    ``closed_form_mu_dot`` is this function.
     """
-    return StructureConstants2(
-        _mu_components(aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus, params.values)
-    )
+    return StructureConstants2(_mu_components(aux, params.values))
 
 
-def closed_form_mu_dot(aux_dot: AuxValues, params: SolutionParams) -> StructureConstants2:
-    """Time derivative of the closed form: the same constant-coefficient
-    linear map applied to the aux rates."""
-    return closed_form_mu(aux_dot, params)
+closed_form_mu_dot = closed_form_mu
 
 
-def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> RotationResiduals:
-    """Rotation-law residuals of an arbitrary (values, rates) pair."""
-    w = 0.5 * omega
-    return RotationResiduals(
-        aux_dot.a_plus + w * aux.a_minus,
-        aux_dot.a_minus - w * aux.a_plus,
-        aux_dot.d_plus + 3.0 * w * aux.d_minus,
-        aux_dot.d_minus - 3.0 * w * aux.d_plus,
-    )
+def closed_form_path(a0: AuxValues, omega: float, ts, c) -> np.ndarray:
+    """Closed-form mu along the smooth aux flow from the seed a0, shape
+    (len(ts), 8) for the parameter values c."""
+    return _mu_components(aux_exact_flow(a0, omega, ts), c)
+
+
+def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
+    """Per-sample || d(mu)/dt - [M, mu] || of a sampled trajectory mu, shape
+    (samples, 8), with on-grid differences.
+
+    Second-order central differences inside, second-order one-sided at the
+    endpoints, so the result scales as dt^2 for smooth trajectories.
+    """
+    dmu = np.empty_like(mu)
+    dmu[1:-1] = (mu[2:] - mu[:-2]) / (2.0 * dt)
+    dmu[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
+    dmu[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
+    return np.linalg.norm(dmu - _explicit_rhs(mu, omega), axis=1)
 
 
 def reduced_lax_residuals(rot: RotationResiduals, params: SolutionParams) -> np.ndarray:
@@ -316,23 +323,6 @@ def reduced_lax_residuals(rot: RotationResiduals, params: SolutionParams) -> np.
     return params.values @ pattern
 
 
-def _aux_arrays(a0: AuxValues, omega: float, ts: np.ndarray):
-    """Vectorized dynamic continuation of a t = 0 aux seed."""
-    half = 0.5 * omega * ts
-    c1, s1 = np.cos(half), np.sin(half)
-    c3, s3 = np.cos(3.0 * half), np.sin(3.0 * half)
-    return (
-        a0.a_plus * c1 - a0.a_minus * s1,
-        a0.a_minus * c1 + a0.a_plus * s1,
-        a0.d_plus * c3 - a0.d_minus * s3,
-        a0.d_minus * c3 + a0.d_plus * s3,
-    )
-
-
-def _closed_mu_at(a0: AuxValues, omega: float, ts: np.ndarray, c: np.ndarray):
-    return _mu_components(*_aux_arrays(a0, omega, ts), c)
-
-
 def verify_lax_representation(
     params: SolutionParams,
     s0: OscState,
@@ -351,16 +341,15 @@ def verify_lax_representation(
       t = 0 closed-form value (isolates integrator truncation);
     * lax_equation_residual - max Frobenius norm of d(mu)/dt - [M, mu],
       with the derivative by central differences (step h_fd) on the
-      closed form and the bracket by the index formula, applied once to
-      the eight basis tensors and then as an 8x8 matrix;
+      closed form and the bracket as ``lax_generator``;
     * mu_norm_drift         - max drift of the Frobenius norm of the
       closed-form mu (conserved: the evolution is a pair of rotations);
     * hamiltonian_drift     - max energy drift of an RK4 trajectory of
       (q, p) on the same grid.
 
     Both RK4 runs integrate linear systems, so they use
-    ``rk4_linear_path``: the mu run with the generator of the explicit
-    eight-ODE right-hand side, the (q, p) run with Hamilton's generator.
+    ``rk4_linear_path``: the mu run with ``lax_generator``, the (q, p) run
+    with Hamilton's generator.
     They are classical RK4 and agree with a step-by-step loop up to
     rounding.
 
@@ -375,23 +364,20 @@ def verify_lax_representation(
     ts = np.linspace(0.0, t_end, steps + 1)
     a0 = aux_algebraic(s0)
 
-    mu_cf = _closed_mu_at(a0, omega, ts, cvals)
+    mu_cf = closed_form_path(a0, omega, ts, cvals)
+    generator = lax_generator(omega)
 
     try:
-        _, mu_rk4 = rk4_linear_path(
-            _explicit_rhs(np.eye(8), omega).T, mu_cf[0], t_end, steps
-        )
+        _, mu_rk4 = rk4_linear_path(generator, mu_cf[0], t_end, steps)
     except IntegrationError as exc:
         raise IntegrationError(f"closed_form_vs_rk4: {exc}") from exc
     gap = float(np.max(np.abs(mu_cf - mu_rk4)))
 
     dmu = (
-        _closed_mu_at(a0, omega, ts + h_fd, cvals)
-        - _closed_mu_at(a0, omega, ts - h_fd, cvals)
+        closed_form_path(a0, omega, ts + h_fd, cvals)
+        - closed_form_path(a0, omega, ts - h_fd, cvals)
     ) / (2.0 * h_fd)
-    ad_m = lax_rhs_index(np.eye(8).reshape(8, 2, 2, 2), m_matrix(omega).coeffs)
-    rhs = mu_cf @ ad_m.reshape(8, 8)
-    lax_res = float(np.max(np.linalg.norm(dmu - rhs, axis=1)))
+    lax_res = float(np.max(np.linalg.norm(dmu - mu_cf @ generator.T, axis=1)))
 
     norms = np.linalg.norm(mu_cf, axis=1)
     norm_drift = float(np.max(np.abs(norms - norms[0])))
@@ -400,7 +386,7 @@ def verify_lax_representation(
         _, qp = rk4_linear_path(hamilton_generator(omega), [s0.q, s0.p], t_end, steps)
     except IntegrationError as exc:
         raise IntegrationError(f"hamiltonian_drift: {exc}") from exc
-    energies = 0.5 * (qp[:, 1] ** 2 + omega * omega * qp[:, 0] ** 2)
+    energies = energy(qp[:, 0], qp[:, 1], omega)
     h_drift = float(np.max(np.abs(energies - energies[0])))
 
     checks = tuple(
@@ -448,13 +434,13 @@ def pde_residual(params: SolutionParams, s: OscState, h_fd: float = 1e-5) -> flo
     cvals = params.values
 
     def mu_at(q: float, p: float) -> np.ndarray:
-        a = aux_algebraic(OscState(q, p, omega))
-        return _mu_components(a.a_plus, a.a_minus, a.d_plus, a.d_minus, cvals)
+        return _mu_components(aux_algebraic(OscState(q, p, omega)), cvals)
 
     inv = 1.0 / (2.0 * h_fd)
     dq = (mu_at(s.q + h_fd, s.p) - mu_at(s.q - h_fd, s.p)) * inv
     dp = (mu_at(s.q, s.p + h_fd) - mu_at(s.q, s.p - h_fd)) * inv
-    advect = s.p * dq - omega * omega * s.q * dp
+    q_dot, p_dot = hamilton_rhs(s)
+    advect = q_dot * dq + p_dot * dp
     commutator = lax_rhs_bracket(
         closed_form_mu(aux, params).to_operation(), m_matrix(omega)
     )

@@ -30,13 +30,15 @@ The rotation laws are exactly the vanishing of the residuals
 
     G(A)+- = dA+-/dt +- (w/2) A-+,   G(D)+- = dD+-/dt +- (3w/2) D-+,
 
-computed by ``g_residuals`` with central differences.
+computed by ``g_values`` from given rates and by ``g_residuals`` with
+central differences.  Each law is written once: ``energy``, ``exact_path``
+and ``aux_exact_flow`` take array times, and the scalar APIs wrap them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,19 +48,25 @@ from .multilinear import Operation
 __all__ = [
     "OscState",
     "AuxValues",
+    "RotationResiduals",
     "IntegrationError",
+    "energy",
     "hamiltonian",
     "hamilton_rhs",
     "hamilton_generator",
+    "exact_path",
     "exact_flow",
     "rk4_path",
     "rk4_linear_path",
     "rk4_integrate",
+    "m_matrix",
     "lax_matrices",
     "classical_lax_residual",
     "aux_algebraic",
     "aux_exact_flow",
     "aux_rhs",
+    "aux_generator",
+    "g_values",
     "g_residuals",
     "g_residuals_along",
 ]
@@ -66,6 +74,11 @@ __all__ = [
 
 class IntegrationError(RuntimeError):
     """A trajectory produced a non-finite state."""
+
+
+def _check_omega(omega: float) -> None:
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
 @dataclass(frozen=True)
@@ -79,13 +92,14 @@ class OscState:
     def __post_init__(self):
         if not (math.isfinite(self.q) and math.isfinite(self.p)):
             raise ValueError(f"non-finite state (q, p) = ({self.q}, {self.p})")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        _check_omega(self.omega)
 
 
 @dataclass(frozen=True)
 class AuxValues:
-    """The quadruple (A+, A-, D+, D-); also used for their time rates."""
+    """The quadruple (A+, A-, D+, D-); also used for their time rates and
+    for the rotation-law residuals.  Fields are floats, or equal-shape
+    arrays along a sampled trajectory."""
 
     a_plus: float
     a_minus: float
@@ -93,8 +107,17 @@ class AuxValues:
     d_minus: float
 
 
+RotationResiduals = AuxValues
+"""Residuals of the aux rotation laws: (G(A)+, G(A)-, G(D)+, G(D)-)."""
+
+
+def energy(q, p, omega: float):
+    """H = (p^2 + omega^2 q^2) / 2; q and p may be arrays."""
+    return 0.5 * (p * p + omega * omega * q * q)
+
+
 def hamiltonian(s: OscState) -> float:
-    return 0.5 * (s.p * s.p + s.omega * s.omega * s.q * s.q)
+    return energy(s.q, s.p, s.omega)
 
 
 def hamilton_rhs(s: OscState) -> tuple[float, float]:
@@ -102,11 +125,19 @@ def hamilton_rhs(s: OscState) -> tuple[float, float]:
     return (s.p, -s.omega * s.omega * s.q)
 
 
-def exact_flow(s0: OscState, t: float) -> OscState:
-    """Closed-form solution: rotation of (q, p/omega) at frequency omega."""
+def exact_path(s0: OscState, ts):
+    """Closed-form (q, p) at the times ts (a scalar or an array): rotation
+    of (q, p/omega) at frequency omega."""
     w = s0.omega
-    c, s = math.cos(w * t), math.sin(w * t)
-    return OscState(s0.q * c + (s0.p / w) * s, s0.p * c - w * s0.q * s, w)
+    wt = w * ts
+    c, s = np.cos(wt), np.sin(wt)
+    return s0.q * c + (s0.p / w) * s, s0.p * c - w * s0.q * s
+
+
+def exact_flow(s0: OscState, t: float) -> OscState:
+    """Closed-form solution at one time t."""
+    q, p = exact_path(s0, t)
+    return OscState(float(q), float(p), s0.omega)
 
 
 def rk4_path(rhs: Callable[[np.ndarray], np.ndarray], y0, t_end: float, steps: int):
@@ -205,16 +236,19 @@ def rk4_integrate(s0: OscState, t_end: float, steps: int):
     ]
 
 
+def m_matrix(omega: float) -> Operation:
+    """The constant rotation generator (omega/2) [[0, -1], [1, 0]]."""
+    _check_omega(omega)
+    return Operation(2, 1, 0.5 * omega * np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
 def lax_matrices(s: OscState) -> tuple[Operation, Operation]:
     """(L, M) as degree-1 operations on R^2.
 
-    L is symmetric and traceless with tr(L^2) = 4H; M is the constant
-    antisymmetric generator (omega/2) [[0, -1], [1, 0]].
+    L is symmetric and traceless with tr(L^2) = 4H; M is ``m_matrix``.
     """
     wq = s.omega * s.q
-    L = Operation(2, 1, np.array([[s.p, wq], [wq, -s.p]]))
-    M = Operation(2, 1, 0.5 * s.omega * np.array([[0.0, -1.0], [1.0, 0.0]]))
-    return L, M
+    return Operation(2, 1, np.array([[s.p, wq], [wq, -s.p]])), m_matrix(s.omega)
 
 
 def classical_lax_residual(s0: OscState, t: float, h_fd: float = 1e-5) -> float:
@@ -253,15 +287,17 @@ def aux_algebraic(s: OscState) -> AuxValues:
     return AuxValues(ap, am, dp, dm)
 
 
-def aux_exact_flow(a0: AuxValues, omega: float, t: float) -> AuxValues:
-    """Smooth dynamic continuation of a t = 0 seed.
+def aux_exact_flow(a0: AuxValues, omega: float, t) -> AuxValues:
+    """Smooth dynamic continuation of a t = 0 seed, at a time or an array
+    of times (then every field is an array).
 
     Rotates (A+, A-) by omega*t/2 and (D+, D-) by 3*omega*t/2; this is the
     unique solution of the rotation laws G = 0 and preserves A+^2 + A-^2
     and D+^2 + D-^2 exactly.
     """
-    c1, s1 = math.cos(0.5 * omega * t), math.sin(0.5 * omega * t)
-    c3, s3 = math.cos(1.5 * omega * t), math.sin(1.5 * omega * t)
+    half = 0.5 * omega * t
+    c1, s1 = np.cos(half), np.sin(half)
+    c3, s3 = np.cos(3.0 * half), np.sin(3.0 * half)
     return AuxValues(
         a0.a_plus * c1 - a0.a_minus * s1,
         a0.a_minus * c1 + a0.a_plus * s1,
@@ -278,6 +314,20 @@ def aux_rhs(a: AuxValues, omega: float) -> AuxValues:
     )
 
 
+def aux_generator(omega: float) -> np.ndarray:
+    """Generator of the rotation laws on (A+, A-, D+, D-): (A+, A-) rotate at
+    omega/2 and (D+, D-) at 3 omega/2."""
+    return np.kron(np.diag([0.5 * omega, 1.5 * omega]), [[0.0, -1.0], [1.0, 0.0]])
+
+
+def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> RotationResiduals:
+    """Rotation-law residuals of an arbitrary (values, rates) pair:
+    aux_dot - aux_rhs(aux)."""
+    return RotationResiduals(
+        *np.subtract(astuple(aux_dot), astuple(aux_rhs(aux, omega)))
+    )
+
+
 def g_residuals_along(
     path: Callable[[float], AuxValues], omega: float, t: float, h_fd: float = 1e-5
 ) -> tuple[float, float, float, float]:
@@ -287,21 +337,8 @@ def g_residuals_along(
     (G(A)+, G(A)-, G(D)+, G(D)-).  Zero up to O(h_fd^2) iff the path obeys
     the rotation laws.
     """
-    a = path(t)
-    ahi = path(t + h_fd)
-    alo = path(t - h_fd)
-    inv = 1.0 / (2.0 * h_fd)
-    da_p = (ahi.a_plus - alo.a_plus) * inv
-    da_m = (ahi.a_minus - alo.a_minus) * inv
-    dd_p = (ahi.d_plus - alo.d_plus) * inv
-    dd_m = (ahi.d_minus - alo.d_minus) * inv
-    w = 0.5 * omega
-    return (
-        da_p + w * a.a_minus,
-        da_m - w * a.a_plus,
-        dd_p + 3.0 * w * a.d_minus,
-        dd_m - 3.0 * w * a.d_plus,
-    )
+    rates = np.subtract(astuple(path(t + h_fd)), astuple(path(t - h_fd)))
+    return astuple(g_values(path(t), AuxValues(*(rates * (1.0 / (2.0 * h_fd)))), omega))
 
 
 def g_residuals(

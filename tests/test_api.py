@@ -1,0 +1,26 @@
+"""The package's public names."""
+
+import operadlax
+
+# the names exported by version 0.1.0; each must stay importable
+EARLIER_NAMES = (
+    "Operation make_operation identity_op evaluate linear_comb frobenius_norm "
+    "partial_compose total_compose bracket composition_relation_residual "
+    "unit_residual jacobi_residual OscState AuxValues IntegrationError "
+    "hamiltonian hamilton_rhs hamilton_generator exact_flow rk4_path "
+    "rk4_linear_path rk4_integrate lax_matrices classical_lax_residual "
+    "aux_algebraic aux_exact_flow aux_rhs g_residuals g_residuals_along "
+    "COMPONENT_NAMES StructureConstants2 SolutionParams RotationResiduals "
+    "CheckResult VerificationReport BranchLocusError m_matrix lax_rhs_bracket "
+    "lax_rhs_index lax_rhs_explicit closed_form_mu closed_form_mu_dot g_values "
+    "reduced_lax_residuals verify_lax_representation pde_residual"
+).split()
+
+
+def test_all_is_unique_resolvable_and_keeps_earlier_names():
+    names = operadlax.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(operadlax, name) is not None
+    assert len(EARLIER_NAMES) == 46
+    assert set(EARLIER_NAMES) <= set(names)

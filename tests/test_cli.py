@@ -2,11 +2,22 @@
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from operadlax import cli
+from operadlax import (
+    OscState,
+    aux_algebraic,
+    aux_exact_flow,
+    cli,
+    closed_form_path,
+    energy,
+    exact_flow,
+    exact_path,
+    grid_lax_residual,
+)
 
 HEADER = (
     "t,q,p,H,Aplus,Aminus,Dplus,Dminus,"
@@ -154,6 +165,25 @@ def test_simulate_json_format_round_trips(capsys):
     assert samples[0]["mu112"] == 2.0
 
 
+def test_simulate_columns_come_from_the_library():
+    cfg = cli.RunConfig(omega=1.3, q0=0.4, p0=-1.1, t_end=5.0, steps=50, seed=3)
+    s0 = OscState(0.4, -1.1, 1.3)
+    a0 = aux_algebraic(s0)
+    ts = np.linspace(0.0, 5.0, 51)
+    q, p = exact_path(s0, ts)
+    aux = astuple(aux_exact_flow(a0, 1.3, ts))
+    mu = closed_form_path(a0, 1.3, ts, cfg.resolved_c())
+    want = [ts, q, p, energy(q, p, 1.3), *aux, *mu.T, grid_lax_residual(mu, 0.1, 1.3)]
+    got = cli._simulate_samples(cfg, "exact")
+    assert len(got) == len(want) == len(HEADER.split(","))
+    for column, expected in zip(got, want):
+        np.testing.assert_array_equal(column, expected)
+    # the scalar APIs agree with the array forms elementwise
+    for k, t in enumerate(ts):
+        assert exact_flow(s0, t) == OscState(q[k], p[k], 1.3)
+        assert astuple(aux_exact_flow(a0, 1.3, t)) == tuple(x[k] for x in aux)
+
+
 def test_simulate_rejects_bad_steps(capsys):
     code, _, err = run(capsys, ["simulate", "--c", C1, "--steps", "1"])
     assert code == 2
@@ -280,6 +310,30 @@ def test_verify_accepts_integer_reals(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", str(path)])
     assert code == 0
     assert json.loads(out)["config"]["omega"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--q0", "nan"],
+    ["simulate", "--p0", "inf"],
+    ["simulate", "--config", "{nan_config}"],
+    ["simulate", "--c", "nan,0,0,0,0,0,0,0"],
+    ["simulate", "--seed", "-1"],
+    ["verify", "{config}", "--c", "1,inf,0,0,0,0,0,0"],
+    ["verify", "{config}", "--seed", "-1"],
+    ["axioms", "--seed", "-1"],
+])
+def test_bad_input_exits_two(tmp_path, capsys, argv):
+    # in-process, so an uncaught exception (a traceback) fails the test
+    nan_config = tmp_path / "nan.json"
+    nan_config.write_text('{"q0": NaN}')
+    config = write_config(tmp_path)
+    argv = [a.format(config=config, nan_config=nan_config) for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_flag_overrides_config(tmp_path, capsys):

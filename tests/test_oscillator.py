@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from operadlax import (
     StructureConstants2,
     aux_algebraic,
     aux_exact_flow,
+    aux_generator,
     aux_rhs,
     classical_lax_residual,
     exact_flow,
@@ -21,12 +23,16 @@ from operadlax import (
     hamilton_generator,
     hamilton_rhs,
     hamiltonian,
+    lax_generator,
     lax_matrices,
+    lax_rhs_bracket,
     lax_rhs_explicit,
+    m_matrix,
     rk4_integrate,
     rk4_linear_path,
     rk4_path,
 )
+from operadlax.operadic_lax import _explicit_rhs
 
 
 def test_hamiltonian_values():
@@ -121,6 +127,22 @@ def test_rk4_path_blowup_reports_step():
 def test_hamilton_generator_matches_rhs():
     s = OscState(0.7, -1.3, 2.5)
     np.testing.assert_array_equal(hamilton_generator(2.5) @ [s.q, s.p], hamilton_rhs(s))
+    # the aux and mu generators match their laws as well
+    rng = np.random.default_rng(121)
+    for omega in (1e-3, 0.37, 1.0, 2.5, 40.0, 1e3):
+        a = AuxValues(*rng.standard_normal(4))
+        np.testing.assert_array_equal(
+            aux_generator(omega) @ astuple(a), astuple(aux_rhs(a, omega))
+        )
+        np.testing.assert_array_equal(
+            lax_generator(omega), _explicit_rhs(np.eye(8), omega).T
+        )
+        for mu in rng.standard_normal((5, 8)):
+            want = lax_rhs_bracket(
+                StructureConstants2(mu).to_operation(), m_matrix(omega)
+            ).coeffs.reshape(8)
+            got = mu @ lax_generator(omega).T
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 1000, 10007])
