@@ -12,7 +12,9 @@ Three subcommands:
 
 Exit codes: 0 all checks passed, 1 a check failed or the numerics blew
 up, 2 bad input or usage.  Output is deterministic for a fixed seed and
-config; floats are printed with 17 significant digits.
+config.  CSV and ``axioms`` print floats with 17 significant digits; JSON
+(``simulate --format json``, the ``verify`` report) prints the shortest
+repr that round-trips, as ``json`` does.
 """
 
 from __future__ import annotations
@@ -141,13 +143,23 @@ def _load_config(path: str) -> RunConfig | str:
             ):
                 return "config key c must be an array of reals or null"
         elif not isinstance(value, _KEY_TYPES[key]) or isinstance(value, bool):
-            if _KEY_TYPES[key] is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            else:
+            if not (
+                _KEY_TYPES[key] is float
+                and isinstance(value, int)
+                and not isinstance(value, bool)
+            ):
                 return (
                     f"config key {key} must be {_KEY_TYPES[key].__name__}, "
                     f"got {type(value).__name__}"
                 )
+        # JSON integers become floats; one beyond the float range is refused
+        try:
+            if key == "c" and value is not None:
+                value = [float(x) for x in value]
+            elif _KEY_TYPES.get(key) is float:
+                value = float(value)
+        except OverflowError:
+            return f"config key {key} holds a number too large for a float"
         setattr(cfg, key, value)
     return cfg
 
@@ -251,6 +263,22 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
     return [ts, q, p, energies, *aux, *mu.T, resid]
 
 
+def _format_table(table: np.ndarray, fmt: str) -> str:
+    """The finite sample table as CSV (``.17g``) or as ``json.dumps(rows,
+    indent=2)`` of one object per row, byte for byte, by one ``%`` per table.
+
+    ``%r`` of a float is ``float.__repr__``, which is what ``json`` writes
+    for a finite float.
+    """
+    values = tuple(table.ravel().tolist())
+    if fmt == "csv":
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        return CSV_HEADER + "\n" + (row * len(table)) % values
+    fields = ",\n".join(f'    "{name}": %r' for name in CSV_HEADER.split(","))
+    row = "  {\n" + fields + "\n  }"
+    return "[\n" + ",\n".join([row] * len(table)) % values + "\n]\n"
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _run_config(args.config, args)
     if isinstance(cfg, str):
@@ -269,17 +297,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: non-finite value in sample {int(bad[0])}", file=sys.stderr)
         return 1
 
-    names = CSV_HEADER.split(",")
-    if cfg.format == "csv":
-        lines = [CSV_HEADER]
-        lines += [",".join(_fmt(x) for x in row) for row in table]
-        text = "\n".join(lines) + "\n"
-    else:
-        samples = [
-            {name: float(x) for name, x in zip(names, row)} for row in table
-        ]
-        text = json.dumps(samples, indent=2) + "\n"
-
+    text = _format_table(table, cfg.format)
     if cfg.out == "-":
         sys.stdout.write(text)
     else:

@@ -245,19 +245,21 @@ def _mu_components(aux: AuxValues, c: np.ndarray) -> np.ndarray:
     """The eight closed-form components; broadcasts over array aux values."""
     ap, am, dp, dm = aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus
     c1, c2, c3, c4, c5, c6, c7, c8 = c
-    return np.stack(
-        [
-            c5 * am + c6 * ap + c7 * dm + c8 * dp,
-            c1 * ap + c2 * am - c7 * dp + c8 * dm,
-            -c1 * ap - c2 * am - c3 * ap - c4 * am - c5 * ap + c6 * am - c7 * dp + c8 * dm,
-            -c3 * am + c4 * ap - c7 * dm - c8 * dp,
-            c3 * ap + c4 * am - c7 * dp + c8 * dm,
-            c1 * am - c2 * ap + c3 * am - c4 * ap + c5 * am + c6 * ap - c7 * dm - c8 * dp,
-            -c1 * am + c2 * ap - c7 * dm - c8 * dp,
-            -c5 * ap + c6 * am + c7 * dp - c8 * dm,
-        ],
-        axis=-1,
-    )
+    # overflow leaves non-finite entries, which the callers' checks report
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack(
+            [
+                c5 * am + c6 * ap + c7 * dm + c8 * dp,
+                c1 * ap + c2 * am - c7 * dp + c8 * dm,
+                -c1 * ap - c2 * am - c3 * ap - c4 * am - c5 * ap + c6 * am - c7 * dp + c8 * dm,
+                -c3 * am + c4 * ap - c7 * dm - c8 * dp,
+                c3 * ap + c4 * am - c7 * dp + c8 * dm,
+                c1 * am - c2 * ap + c3 * am - c4 * ap + c5 * am + c6 * ap - c7 * dm - c8 * dp,
+                -c1 * am + c2 * ap - c7 * dm - c8 * dp,
+                -c5 * ap + c6 * am + c7 * dp - c8 * dm,
+            ],
+            axis=-1,
+        )
 
 
 def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants2:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -184,6 +185,30 @@ def test_simulate_columns_come_from_the_library():
         assert astuple(aux_exact_flow(a0, 1.3, t)) == tuple(x[k] for x in aux)
 
 
+def reference_csv(table):
+    rows = [",".join(format(x, ".17g") for x in row) for row in table.tolist()]
+    return "\n".join([HEADER] + rows) + "\n"
+
+
+def reference_json(table):
+    names = HEADER.split(",")
+    rows = [{name: float(x) for name, x in zip(names, row)} for row in table.tolist()]
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def test_format_table_matches_reference_formatters():
+    cfg = cli.RunConfig(omega=2.3, q0=-0.7, p0=1.9, t_end=7.0, steps=300, seed=4)
+    samples = np.column_stack(cli._simulate_samples(cfg, "exact"))
+    awkward = np.resize(
+        [-0.0, 0.0, 5e-324, 1e300, -1e-17, 123456789012345678.0, 2.0, -3.0,
+         0.1, 1e16, 1e-5, 1e22, -2.2250738585072014e-308, 1.7976931348623157e308],
+        (3, 17),
+    )
+    for table in (samples, awkward, samples[:1]):
+        assert cli._format_table(table, "csv") == reference_csv(table)
+        assert cli._format_table(table, "json") == reference_json(table)
+
+
 def test_simulate_rejects_bad_steps(capsys):
     code, _, err = run(capsys, ["simulate", "--c", C1, "--steps", "1"])
     assert code == 2
@@ -321,19 +346,40 @@ def test_verify_accepts_integer_reals(tmp_path, capsys):
     ["verify", "{config}", "--c", "1,inf,0,0,0,0,0,0"],
     ["verify", "{config}", "--seed", "-1"],
     ["axioms", "--seed", "-1"],
+    ["verify", "{big_q0_config}"],
+    ["verify", "{big_c_config}"],
 ])
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     # in-process, so an uncaught exception (a traceback) fails the test
     nan_config = tmp_path / "nan.json"
     nan_config.write_text('{"q0": NaN}')
+    # JSON integers beyond the float range
+    big = "1" + "0" * 400
+    big_q0_config = tmp_path / "big_q0.json"
+    big_q0_config.write_text('{"q0": %s}' % big)
+    big_c_config = tmp_path / "big_c.json"
+    big_c_config.write_text('{"c": [0, 0, %s, 0, 0, 0, 0, 0]}' % big)
     config = write_config(tmp_path)
-    argv = [a.format(config=config, nan_config=nan_config) for a in argv]
+    argv = [a.format(config=config, nan_config=nan_config, big_q0_config=big_q0_config,
+                     big_c_config=big_c_config) for a in argv]
     try:
         code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_overflow_is_one_error_line(tmp_path, capsys):
+    # the closed form overflows at t = 0; no numpy warning may reach stderr
+    path = write_config(tmp_path, c=[1e308] * 8, steps=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, ["verify", str(path)])
+    assert code == 1
+    assert err.splitlines() == [
+        "error: closed_form_vs_rk4: non-finite state at step 1 (t = 0.0628319)"
+    ]
 
 
 def test_flag_overrides_config(tmp_path, capsys):

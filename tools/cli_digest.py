@@ -39,19 +39,43 @@ def run_config(rng):
     return cfg
 
 
+# simulate configs at the output formatter's edges
+EDGE_CONFIGS = [
+    # H = 0: every column but t is zero, several of them signed (-0)
+    {"omega": 1.3, "q0": 0.0, "p0": 0.0, "t_end": 4.0, "steps": 300, "seed": 11},
+    {"omega": 0.7, "q0": -0.0, "p0": 0.0, "t_end": 9.0, "steps": 50,
+     "c": [1.0, -0.5, 0.25, -1.0, 0.0, 0.75, -0.25, 0.5]},
+    # amplitude sqrt(2H) about 1e150 and 1e-150: three-digit exponents.  At
+    # 1e150, c7 = c8 = 0 keep D+ and D- (about 1e225) out of mu, whose square
+    # in lax_residual would overflow and end the run before any output.
+    {"omega": 2.0, "q0": 3e149, "p0": -8e149, "t_end": 5.0, "steps": 400,
+     "c": [0.3, -0.9, 0.6, 0.1, -0.4, 0.8, 0.0, 0.0]},
+    {"omega": 0.5, "q0": 1e-150, "p0": 2e-150, "t_end": 30.0, "steps": 400, "seed": 13},
+    # the top of the benchmark's simulate step range
+    {"omega": 1.7, "q0": 0.4, "p0": -1.2, "t_end": 37.0, "steps": 20000, "seed": 14},
+]
+
+
+def simulate_all(label, path):
+    for integrator in ("exact", "rk4"):
+        for fmt in ("csv", "json"):
+            argv = ["simulate", "--config", str(path), "--integrator", integrator,
+                    "--format", fmt]
+            print(f"{label}-{integrator}-{fmt}", run(argv))
+
+
 def main():
     rng = random.Random(2026)
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
         for k in range(40):
             cfg = run_config(rng)
-            path = Path(tmp) / "cfg.json"
             path.write_text(json.dumps(cfg))
-            for integrator in ("exact", "rk4"):
-                for fmt in ("csv", "json"):
-                    argv = ["simulate", "--config", str(path), "--integrator", integrator,
-                            "--format", fmt]
-                    print(f"simulate-{k}-{integrator}-{fmt}", run(argv))
+            simulate_all(f"simulate-{k}", path)
             print(f"verify-{k}", run(["verify", str(path)]))
+        for k, cfg in enumerate(EDGE_CONFIGS):
+            path.write_text(json.dumps(cfg))
+            simulate_all(f"simulate-edge-{k}", path)
     for seed in range(20):
         argv = ["axioms", "--trials", "3", "--seed", str(seed),
                 "--dim-max", str(1 + seed % 3), "--deg-max", str(1 + seed // 3 % 3)]
