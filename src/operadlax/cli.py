@@ -10,11 +10,18 @@ Three subcommands:
 * ``verify``   - run the end-to-end verification pipeline from a JSON
   config file and print the report as JSON.
 
-Exit codes: 0 all checks passed, 1 a check failed or the numerics blew
-up, 2 bad input or usage.  Output is deterministic for a fixed seed and
-config.  CSV and ``axioms`` print floats with 17 significant digits; JSON
-(``simulate --format json``, the ``verify`` report) prints the shortest
-repr that round-trips, as ``json`` does.
+``simulate`` and ``verify`` read the ``RunConfig`` keys from a JSON config
+with flags on top; ``simulate`` runs no check, so it has no ``--tol``.
+
+Exit codes: 0 all checks passed, 1 a check failed, the numerics blew up
+(``IntegrationError``) or stdout was closed early, 2 bad input or usage
+(``ValueError``, from the config loader, ``RunConfig.validate`` or the
+library's own checks).  The commands raise; ``main`` alone maps errors to
+exit codes and prints each as one ``error:`` line on stderr.  Output is
+deterministic for a fixed seed and config.  CSV and ``axioms`` print
+floats with 17 significant digits; JSON (``simulate --format json``, the
+``verify`` report) prints the shortest repr that round-trips, as ``json``
+does.
 """
 
 from __future__ import annotations
@@ -22,14 +29,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .multilinear import Operation, frobenius_norm
 from .operad import (
-    bracket,
+    antisymmetry_residual,
     composition_relation_residual,
     jacobi_residual,
     unit_residual,
@@ -63,11 +71,16 @@ CSV_HEADER = (
     + ",lax_residual"
 )
 
-CONFIG_KEYS = ("omega", "q0", "p0", "c", "t_end", "steps", "tol", "seed", "out", "format")
+# the most steps whose (steps + 1) x 17 float64 sample table numpy can index
+MAX_STEPS = np.iinfo(np.intp).max // (len(CSV_HEADER.split(",")) * 8) - 1
 
 
 @dataclass
 class RunConfig:
+    """The run keys of ``simulate`` and ``verify``.  In a JSON config each
+    key has the type of its default (a JSON integer is also a float);
+    ``c`` is an array of 8 reals, or null to draw it from ``seed``."""
+
     omega: float = 1.0
     q0: float = 0.0
     p0: float = 2.0
@@ -85,96 +98,77 @@ class RunConfig:
         rng = np.random.default_rng(self.seed)
         return [float(x) for x in rng.uniform(-1.0, 1.0, 8)]
 
-    def validate(self) -> str | None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            return f"omega must be positive, got {self.omega}"
-        if not (math.isfinite(self.q0) and math.isfinite(self.p0)):
-            return f"q0 and p0 must be finite, got ({self.q0}, {self.p0})"
-        if self.steps < 2:
-            return f"steps must be >= 2, got {self.steps}"
+    def validate(self) -> None:
+        """Raise ValueError on a bad key; OscState and SolutionParams check omega, q0, p0, c."""
+        OscState(self.q0, self.p0, self.omega)
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {self.steps}")
         if not (math.isfinite(self.tol) and self.tol > 0):
-            return f"tol must be positive, got {self.tol}"
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if not (math.isfinite(self.t_end) and self.t_end > 0):
-            return f"t_end must be positive, got {self.t_end}"
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.format not in ("csv", "json"):
-            return f"format must be csv or json, got {self.format!r}"
-        if self.c is not None and len(self.c) != 8:
-            return f"c must have 8 entries, got {len(self.c)}"
-        if self.c is not None and not all(math.isfinite(x) for x in self.c):
-            return f"c entries must be finite, got {self.c}"
+            raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if self.c is not None:
+            SolutionParams(self.c)
         if self.seed < 0:
-            return f"seed must be >= 0, got {self.seed}"
-        return None
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
-_KEY_TYPES = {
-    "omega": float, "q0": float, "p0": float, "t_end": float, "tol": float,
-    "steps": int, "seed": int, "out": str, "format": str,
-}
-
-
-def _load_config(path: str) -> RunConfig | str:
-    """Parse a flat JSON config; returns an error string on failure."""
+def _load_config(path: str) -> RunConfig:
+    """Parse a flat JSON config; raises ValueError on failure."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        return f"cannot read config {path}: {exc}"
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        return f"config parse failure at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        raise ValueError(
+            f"config parse failure at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
     if not isinstance(raw, dict):
-        return "config must be a JSON object"
+        raise ValueError("config must be a JSON object")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
-        return f"unknown config keys: {', '.join(unknown)}"
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     cfg = RunConfig()
     for key, value in raw.items():
+        kind = type(getattr(cfg, key))
+        # exact JSON types: a bool is no number, and an integer is also a real
         if key == "c":
             if value is not None and not (
-                isinstance(value, list)
-                and all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in value
-                )
+                isinstance(value, list) and all(type(x) in (int, float) for x in value)
             ):
-                return "config key c must be an array of reals or null"
-        elif not isinstance(value, _KEY_TYPES[key]) or isinstance(value, bool):
-            if not (
-                _KEY_TYPES[key] is float
-                and isinstance(value, int)
-                and not isinstance(value, bool)
-            ):
-                return (
-                    f"config key {key} must be {_KEY_TYPES[key].__name__}, "
-                    f"got {type(value).__name__}"
-                )
+                raise ValueError("config key c must be an array of reals or null")
+        elif type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ValueError(
+                f"config key {key} must be {kind.__name__}, got {type(value).__name__}"
+            )
         # JSON integers become floats; one beyond the float range is refused
         try:
             if key == "c" and value is not None:
                 value = [float(x) for x in value]
-            elif _KEY_TYPES.get(key) is float:
+            elif kind is float:
                 value = float(value)
         except OverflowError:
-            return f"config key {key} holds a number too large for a float"
+            raise ValueError(f"config key {key} holds a number too large for a float") from None
         setattr(cfg, key, value)
     return cfg
 
 
-def _run_config(path: str | None, args: argparse.Namespace) -> RunConfig | str:
+def _run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """The config file (defaults without one) with the flags' values on top,
-    validated; returns an error string on failure."""
+    validated; raises ValueError on failure."""
     cfg = _load_config(path) if path else RunConfig()
-    if isinstance(cfg, str):
-        return cfg
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    return cfg.validate() or cfg
+    cfg.validate()
+    return cfg
 
 
 def _parse_c(text: str) -> list[float]:
@@ -218,17 +212,15 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
         # a third operation is drawn, and unused, to keep the seeded stream
         a, b = _random_operations(rng, args.dim_max, args.deg_max, 3)[:2]
-        s = -1.0 if (a.reduced_degree * b.reduced_degree) % 2 else 1.0
-        anti = np.linalg.norm(bracket(a, b).coeffs + s * bracket(b, a).coeffs)
         suites["antisymmetry"] = max(
             suites["antisymmetry"],
-            float(anti) / (1.0 + frobenius_norm(a) * frobenius_norm(b)),
+            antisymmetry_residual(a, b) / (1.0 + frobenius_norm(a) * frobenius_norm(b)),
         )
     ok = True
     for name, worst in suites.items():
         passed = worst <= args.tol
         ok = ok and passed
-        print(f"{name}: max_residual={_fmt(worst)} tol={_fmt(args.tol)} "
+        print(f"{name}: max_residual={worst:.17g} tol={args.tol:.17g} "
               f"{'PASS' if passed else 'FAIL'}")
     return 0 if ok else 1
 
@@ -274,39 +266,27 @@ def _format_table(table: np.ndarray, fmt: str) -> str:
     if fmt == "csv":
         row = ",".join(["%.17g"] * table.shape[1]) + "\n"
         return CSV_HEADER + "\n" + (row * len(table)) % values
-    fields = ",\n".join(f'    "{name}": %r' for name in CSV_HEADER.split(","))
-    row = "  {\n" + fields + "\n  }"
+    members = ",\n".join(f'    "{name}": %r' for name in CSV_HEADER.split(","))
+    row = "  {\n" + members + "\n  }"
     return "[\n" + ",\n".join([row] * len(table)) % values + "\n]\n"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _run_config(args.config, args)
-    if isinstance(cfg, str):
-        print(f"error: {cfg}", file=sys.stderr)
-        return 2
-
-    try:
-        columns = _simulate_samples(cfg, args.integrator)
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    table = np.column_stack(columns)
+    table = np.column_stack(_simulate_samples(cfg, args.integrator))
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
-        print(f"error: non-finite value in sample {int(bad[0])}", file=sys.stderr)
-        return 1
+        raise IntegrationError(f"non-finite value in sample {int(bad[0])}")
 
     text = _format_table(table, cfg.format)
     if cfg.out == "-":
         sys.stdout.write(text)
-    else:
-        try:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
-            return 2
+        return 0
+    try:
+        with open(cfg.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {cfg.out}: {exc}") from None
     return 0
 
 
@@ -315,19 +295,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _run_config(args.config_path, args)
-    if isinstance(cfg, str):
-        print(f"error: {cfg}", file=sys.stderr)
-        return 2
-
     params = SolutionParams(cfg.resolved_c())
     s0 = OscState(cfg.q0, cfg.p0, cfg.omega)
-    try:
-        report = verify_lax_representation(
-            params, s0, cfg.t_end, cfg.steps, cfg.tol, seed=cfg.seed
-        )
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = verify_lax_representation(params, s0, cfg.t_end, cfg.steps, cfg.tol, seed=cfg.seed)
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.all_passed() else 1
 
@@ -335,15 +305,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ main --
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags that override RunConfig keys in both simulate and verify."""
+def _add_run_flags(parser: argparse.ArgumentParser, tol: bool) -> None:
+    """The flags that override RunConfig keys; ``--tol`` where a check reads it."""
     parser.add_argument("--omega", type=float)
     parser.add_argument("--q0", type=float)
     parser.add_argument("--p0", type=float)
     parser.add_argument("--c", type=_parse_c, help="8 comma-separated reals")
     parser.add_argument("--t-end", dest="t_end", type=float)
     parser.add_argument("--steps", type=int)
-    parser.add_argument("--tol", type=float)
+    if tol:
+        parser.add_argument("--tol", type=float)
     parser.add_argument("--seed", type=int)
 
 
@@ -364,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="sample a trajectory to CSV or JSON")
     sim.add_argument("--config", help="JSON config file; flags override its values")
-    _add_run_flags(sim)
+    _add_run_flags(sim, tol=False)
     sim.add_argument("--out", help="output path, '-' for stdout")
     sim.add_argument("--format", choices=["csv", "json"])
     sim.add_argument("--integrator", choices=["exact", "rk4"], default="exact")
@@ -372,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the verification pipeline from a config")
     ver.add_argument("config_path")
-    _add_run_flags(ver)
+    _add_run_flags(ver, tol=True)
     ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -392,7 +363,17 @@ def main(argv=None) -> int:
             parser.error(f"--tol must be positive, got {args.tol}")
         if args.seed < 0:
             parser.error(f"--seed must be >= 0, got {args.seed}")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except (ValueError, IntegrationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 1
+    except BrokenPipeError:
+        # the reader is gone; the interpreter's final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ Gerstenhaber bracket is the graded commutator
     [f, g] = f • g - (-1)^(|f||g|) g • f.
 
 Every axiom of the composition calculus (the three associativity-relation
-cases, the unit laws, the graded Jacobi identity) is exposed here as a
-numerically checkable residual rather than assumed.  All signs are
-computed by integer parity, never floating-point powers.
+cases, the unit laws, graded antisymmetry, the graded Jacobi identity) is
+exposed here as a numerically checkable residual rather than assumed.  All
+signs are computed by integer parity, never floating-point powers.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "bracket",
     "composition_relation_residual",
     "unit_residual",
+    "antisymmetry_residual",
     "jacobi_residual",
 ]
 
@@ -119,6 +120,12 @@ def unit_residual(f: Operation) -> float:
         r = float(np.linalg.norm(partial_compose(f, ident, i).coeffs - f.coeffs))
         worst = max(worst, r)
     return worst
+
+
+def antisymmetry_residual(f: Operation, g: Operation) -> float:
+    """Frobenius norm of [f, g] + (-1)^(|f||g|) [g, f]; exactly 0 here."""
+    s = _sign(f.reduced_degree * g.reduced_degree)
+    return float(np.linalg.norm(bracket(f, g).coeffs + s * bracket(g, f).coeffs))
 
 
 def jacobi_residual(f: Operation, g: Operation, h: Operation) -> float:

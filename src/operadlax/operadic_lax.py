@@ -355,7 +355,8 @@ def verify_lax_representation(
     They are classical RK4 and agree with a step-by-step loop up to
     rounding.
 
-    Each check passes iff its max residual is <= tol.
+    Each check passes iff its max residual is <= tol.  A non-finite closed
+    form raises ``IntegrationError`` before the RK4 run it would seed.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -367,6 +368,9 @@ def verify_lax_representation(
     a0 = aux_algebraic(s0)
 
     mu_cf = closed_form_path(a0, omega, ts, cvals)
+    if not np.isfinite(mu_cf).all():
+        k = int(np.argmin(np.isfinite(mu_cf).all(axis=1)))  # the first non-finite row
+        raise IntegrationError(f"closed_form: non-finite value at sample {k} (t = {ts[k]:.6g})")
     generator = lax_generator(omega)
 
     try:

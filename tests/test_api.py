@@ -1,6 +1,10 @@
-"""The package's public names."""
+"""The package's public names, and the CLI's use of them."""
+
+import ast
+import inspect
 
 import operadlax
+from operadlax import cli
 
 # the names exported by version 0.1.0; each must stay importable
 EARLIER_NAMES = (
@@ -24,3 +28,13 @@ def test_all_is_unique_resolvable_and_keeps_earlier_names():
         assert getattr(operadlax, name) is not None
     assert len(EARLIER_NAMES) == 46
     assert set(EARLIER_NAMES) <= set(names)
+
+
+def test_cli_imports_only_public_names_and_does_no_physics():
+    tree = ast.parse(inspect.getsource(cli))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []
+    attributes = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert attributes & {"np.cos", "np.sin", "np.kron", "np.linalg"} == set()

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import operadlax
 from operadlax import (
     OscState,
     aux_algebraic,
@@ -348,9 +352,17 @@ def test_verify_accepts_integer_reals(tmp_path, capsys):
     ["axioms", "--seed", "-1"],
     ["verify", "{big_q0_config}"],
     ["verify", "{big_c_config}"],
+    # steps whose sample table numpy cannot index; never a merely huge one
+    ["verify", "{big_steps_config}"],
+    ["simulate", "--steps", "100000000000000000000000000"],
+    ["simulate", "--steps", "4611686018427387904"],
+    # a flag simulate no longer takes, and a config that is not UTF-8
+    ["simulate", "--tol", "1"],
+    ["verify", "{latin1_config}"],
 ])
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     # in-process, so an uncaught exception (a traceback) fails the test
+    names_steps = "--steps" in argv or "{big_steps_config}" in argv
     nan_config = tmp_path / "nan.json"
     nan_config.write_text('{"q0": NaN}')
     # JSON integers beyond the float range
@@ -359,15 +371,24 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     big_q0_config.write_text('{"q0": %s}' % big)
     big_c_config = tmp_path / "big_c.json"
     big_c_config.write_text('{"c": [0, 0, %s, 0, 0, 0, 0, 0]}' % big)
+    big_steps_config = tmp_path / "big_steps.json"
+    big_steps_config.write_text('{"steps": %s}' % big)
+    latin1_config = tmp_path / "latin1.json"
+    latin1_config.write_bytes(b'{"format": "\xe9"}')  # not UTF-8
     config = write_config(tmp_path)
     argv = [a.format(config=config, nan_config=nan_config, big_q0_config=big_q0_config,
-                     big_c_config=big_c_config) for a in argv]
+                     big_c_config=big_c_config, big_steps_config=big_steps_config,
+                     latin1_config=latin1_config)
+            for a in argv]
     try:
         code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert "Traceback" not in err
+    assert "steps" in line or not names_steps
 
 
 def test_verify_overflow_is_one_error_line(tmp_path, capsys):
@@ -378,8 +399,28 @@ def test_verify_overflow_is_one_error_line(tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(path)])
     assert code == 1
     assert err.splitlines() == [
-        "error: closed_form_vs_rk4: non-finite state at step 1 (t = 0.0628319)"
+        "error: closed_form: non-finite value at sample 0 (t = 0)"
     ]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_closed_stdout_exits_one_quietly(tmp_path, command):
+    argv = {"simulate": ["simulate", "--steps", "5"],
+            "verify": ["verify", str(write_config(tmp_path, steps=100))]}[command]
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(operadlax.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    try:
+        # buffered, the write fails at main's flush; unbuffered, in the command
+        for unbuffered in ("", "1"):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+            proc = subprocess.run([sys.executable, "-m", "operadlax", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+            assert (proc.returncode, proc.stderr) == (1, b"")
+    finally:
+        os.close(write_end)
 
 
 def test_flag_overrides_config(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from operadlax import (
     Operation,
+    antisymmetry_residual,
     bracket,
     composition_relation_residual,
     evaluate,
@@ -150,6 +151,7 @@ def test_graded_antisymmetry_bit_exact():
         s = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
         total = bracket(f, g).coeffs + s * bracket(g, f).coeffs
         assert not total.any()
+        assert antisymmetry_residual(f, g) == 0.0
 
 
 def case_of(i, j, fr):

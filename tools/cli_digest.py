@@ -1,6 +1,8 @@
 """Print one SHA-256 per CLI run over a fixed, seeded corpus of commands.
 
-Each line is ``<label> <sha256 of exit code, stdout and stderr>``.  Run it
+Each line is ``<label> <sha256 of exit code, stdout and stderr>``; an
+uncaught exception is hashed as its type and message in place of the exit
+code, so a tree whose CLI raises can be digested too.  Run it
 with two source trees on ``PYTHONPATH`` and diff the outputs to see which
 commands changed their bytes:
 
@@ -26,6 +28,8 @@ def run(argv):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
     return hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()).hexdigest()
 
 
@@ -56,6 +60,39 @@ EDGE_CONFIGS = [
 ]
 
 
+# bad input (exit 2) and numeric failures (exit 1): the bad-input cases of
+# tests/test_cli.py plus the closed form overflowing at t = 0
+BIG = "1" + "0" * 400
+ERROR_CONFIGS = {
+    "base": json.dumps({"omega": 1.0, "q0": 0.0, "p0": 2.0, "t_end": 6.283185307179586,
+                        "steps": 10000, "tol": 1e-7, "seed": 2026}),
+    "nan": '{"q0": NaN}',
+    "big_q0": '{"q0": %s}' % BIG,
+    "big_c": '{"c": [0, 0, %s, 0, 0, 0, 0, 0]}' % BIG,
+    "big_steps": '{"steps": %s}' % BIG,
+    "huge_c": json.dumps({"c": [1e308] * 8, "steps": 100}),
+    "latin1": '{"format": "\xe9"}',  # written as Latin-1: not UTF-8
+}
+ERROR_ARGV = [
+    ["simulate", "--q0", "nan"],
+    ["simulate", "--p0", "inf"],
+    ["simulate", "--config", "{nan}"],
+    ["simulate", "--c", "nan,0,0,0,0,0,0,0"],
+    ["simulate", "--seed", "-1"],
+    ["verify", "{base}", "--c", "1,inf,0,0,0,0,0,0"],
+    ["verify", "{base}", "--seed", "-1"],
+    ["axioms", "--seed", "-1"],
+    ["verify", "{big_q0}"],
+    ["verify", "{big_c}"],
+    ["verify", "{big_steps}"],
+    ["simulate", "--steps", "100000000000000000000000000"],
+    ["simulate", "--steps", "4611686018427387904"],
+    ["simulate", "--tol", "1"],
+    ["verify", "{latin1}"],
+    ["verify", "{huge_c}"],
+]
+
+
 def simulate_all(label, path):
     for integrator in ("exact", "rk4"):
         for fmt in ("csv", "json"):
@@ -76,6 +113,11 @@ def main():
         for k, cfg in enumerate(EDGE_CONFIGS):
             path.write_text(json.dumps(cfg))
             simulate_all(f"simulate-edge-{k}", path)
+        paths = {name: Path(tmp) / f"{name}.json" for name in ERROR_CONFIGS}
+        for name, text in ERROR_CONFIGS.items():
+            paths[name].write_text(text, encoding="latin-1")
+        for k, argv in enumerate(ERROR_ARGV):
+            print(f"error-{k}", run([a.format(**paths) for a in argv]))
     for seed in range(20):
         argv = ["axioms", "--trials", "3", "--seed", str(seed),
                 "--dim-max", str(1 + seed % 3), "--deg-max", str(1 + seed // 3 % 3)]
