@@ -60,17 +60,36 @@ class Operation:
                 f"coefficient length mismatch: expected {expected} "
                 f"(= {self.dim}^{self.degree + 1}), got {arr.size}"
             )
-        arr = arr.reshape((self.dim,) * (self.degree + 1))
-        if not np.isfinite(arr).all():
-            bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
-            raise ValueError(f"non-finite coefficient at flat index {bad}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        _freeze(self, arr.reshape((self.dim,) * (self.degree + 1)))
+
+    @classmethod
+    def _trusted(cls, dim: int, degree: int, arr: np.ndarray) -> "Operation":
+        """Wrap a fresh C-contiguous float array of shape (dim,)*(degree+1).
+
+        For kernel results whose shape and dtype the caller already knows:
+        skips the copy, the length check and the reshape of ``__init__``,
+        but keeps the non-finite check, since a product or sum of finite
+        coefficients can overflow.  ``arr`` must not be shared.
+        """
+        op = object.__new__(cls)
+        object.__setattr__(op, "dim", dim)
+        object.__setattr__(op, "degree", degree)
+        _freeze(op, arr)
+        return op
 
     @property
     def reduced_degree(self) -> int:
         """Degree minus one; governs all sign factors."""
         return self.degree - 1
+
+
+def _freeze(op: Operation, arr: np.ndarray) -> None:
+    """Reject non-finite entries, then store ``arr`` read-only as op.coeffs."""
+    if not np.isfinite(arr).all():
+        bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
+        raise ValueError(f"non-finite coefficient at flat index {bad}")
+    arr.setflags(write=False)
+    object.__setattr__(op, "coeffs", arr)
 
 
 def make_operation(dim: int, degree: int, coeffs) -> Operation:
@@ -119,7 +138,7 @@ def linear_comb(a: float, f: Operation, b: float, g: Operation) -> Operation:
             f"shape mismatch: (dim, degree) = ({f.dim}, {f.degree}) vs "
             f"({g.dim}, {g.degree})"
         )
-    return Operation(f.dim, f.degree, a * f.coeffs + b * g.coeffs)
+    return Operation._trusted(f.dim, f.degree, a * f.coeffs + b * g.coeffs)
 
 
 def frobenius_norm(f: Operation) -> float:

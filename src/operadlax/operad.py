@@ -20,6 +20,8 @@ signs are computed by integer parity, never floating-point powers.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .multilinear import Operation, identity_op, linear_comb
@@ -48,14 +50,31 @@ def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
             f"slot {i} out of range 0..{f.reduced_degree} for a degree-"
             f"{f.degree} operation"
         )
-    m, n = f.degree, g.degree
-    # Contract f's input axis i (tensor axis i+1) against g's output axis.
-    res = np.tensordot(f.coeffs, g.coeffs, axes=([i + 1], [0]))
-    # tensordot appends g's input axes at the end; slot them in at position i.
-    res = np.moveaxis(res, range(m, m + n), range(i + 1, i + 1 + n))
+    m, n, d = f.degree, g.degree, f.dim
+    # The one np.dot call that numpy's tensor contraction over axes
+    # ([i + 1], [0]) makes, on the same transposed and reshaped operands, so
+    # the same bytes without its Python-level argument handling.  Overflow
+    # is reported by the finite check in _trusted.
+    perm_f, perm_out = _perms(m, n, i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.dot(f.coeffs.transpose(perm_f).reshape(-1, d), g.coeffs.reshape(d, -1))
+    # The product's axes are f's kept axes then g's inputs; slot g's in at i + 1.
+    res = res.reshape((d,) * (m + n)).transpose(perm_out)
     if _sign(i * g.reduced_degree) < 0:
-        res = -res
-    return Operation(f.dim, m + n - 1, res)
+        res = np.negative(res, order="C")
+    else:
+        res = np.ascontiguousarray(res)
+    return Operation._trusted(d, m + n - 1, res)
+
+
+@functools.lru_cache(maxsize=None)
+def _perms(m: int, n: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis permutations of partial_compose for degrees m, n and slot i:
+    f's input axis i + 1 moved last, and the product's axes reordered so
+    that g's n inputs sit at i + 1."""
+    perm_f = (*range(i + 1), *range(i + 2, m + 1), i + 1)
+    perm_out = (*range(i + 1), *range(m, m + n), *range(i + 1, m))
+    return perm_f, perm_out
 
 
 def total_compose(f: Operation, g: Operation) -> Operation:
@@ -65,7 +84,7 @@ def total_compose(f: Operation, g: Operation) -> Operation:
     acc = partial_compose(f, g, 0).coeffs.copy()
     for i in range(1, f.degree):
         acc += partial_compose(f, g, i).coeffs
-    return Operation(f.dim, f.degree + g.degree - 1, acc)
+    return Operation._trusted(f.dim, f.degree + g.degree - 1, acc)
 
 
 def bracket(f: Operation, g: Operation) -> Operation:

@@ -282,6 +282,24 @@ def closed_form_path(a0: AuxValues, omega: float, ts, c) -> np.ndarray:
     return _mu_components(aux_exact_flow(a0, omega, ts), c)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array, without overflow.
+
+    ``np.linalg.norm`` squares the entries, so a finite row above ~1e154
+    gets an infinite norm.  Only the rows whose norm came out non-finite
+    while all their entries are finite are recomputed, scaled by their
+    largest magnitude; every other norm keeps np.linalg.norm's bits.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+        if not np.isfinite(norms).all():
+            redo = ~np.isfinite(norms) & np.isfinite(x).all(axis=1)
+            rows = x[redo]
+            scale = np.max(np.abs(rows), axis=1)
+            norms[redo] = scale * np.linalg.norm(rows / scale[:, None], axis=1)
+    return norms
+
+
 def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     """Per-sample || d(mu)/dt - [M, mu] || of a sampled trajectory mu, shape
     (samples, 8), with on-grid differences.
@@ -293,7 +311,7 @@ def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     dmu[1:-1] = (mu[2:] - mu[:-2]) / (2.0 * dt)
     dmu[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
     dmu[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
-    return np.linalg.norm(dmu - _explicit_rhs(mu, omega), axis=1)
+    return _row_norms(dmu - _explicit_rhs(mu, omega))
 
 
 def reduced_lax_residuals(rot: RotationResiduals, params: SolutionParams) -> np.ndarray:
@@ -383,9 +401,9 @@ def verify_lax_representation(
         closed_form_path(a0, omega, ts + h_fd, cvals)
         - closed_form_path(a0, omega, ts - h_fd, cvals)
     ) / (2.0 * h_fd)
-    lax_res = float(np.max(np.linalg.norm(dmu - mu_cf @ generator.T, axis=1)))
+    lax_res = float(np.max(_row_norms(dmu - mu_cf @ generator.T)))
 
-    norms = np.linalg.norm(mu_cf, axis=1)
+    norms = _row_norms(mu_cf)
     norm_drift = float(np.max(np.abs(norms - norms[0])))
 
     try:

@@ -403,6 +403,28 @@ def test_verify_overflow_is_one_error_line(tmp_path, capsys):
     ]
 
 
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_huge_finite_closed_form_has_finite_norms(tmp_path, capsys):
+    # |mu| is about 1e201, so its squares overflow but its norms do not
+    path = write_config(tmp_path, c=[1e200] * 8, steps=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", str(path)])
+    # the absolute tolerance fails residuals this large; the report stays strict
+    assert (code, err) == (1, "")
+    report = json.loads(out, parse_constant=reject_constant)
+    assert all(math.isfinite(c["max_residual"]) for c in report["checks"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["simulate", "--config", str(path)])
+    assert (code, err) == (0, "")
+    cols, data = parse_csv(out)
+    assert np.isfinite(data[:, cols.index("lax_residual")]).all()
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_closed_stdout_exits_one_quietly(tmp_path, command):
     argv = {"simulate": ["simulate", "--steps", "5"],

@@ -2,10 +2,12 @@
 
 The independent oracle here composes operations by evaluating them on every
 basis tuple (pure ``evaluate`` calls plus explicit loops), never through the
-tensor-contraction path under test.
+tensor-contraction path under test.  The bytes of the kernel are pinned
+against its former ``np.tensordot`` + ``np.moveaxis`` form, kept below.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +85,64 @@ def test_partial_compose_validations():
         partial_compose(MU111, ROT, 2)
     with pytest.raises(ValueError, match="dim"):
         partial_compose(MU111, identity_op(3), 0)
+
+
+def tensordot_compose(f, g, i):
+    """Reference f o_i g: the former kernel, np.tensordot then np.moveaxis."""
+    m, n = f.degree, g.degree
+    res = np.tensordot(f.coeffs, g.coeffs, axes=([i + 1], [0]))
+    res = np.moveaxis(res, range(m, m + n), range(i + 1, i + 1 + n))
+    if (i * g.reduced_degree) % 2:
+        res = -res
+    return res
+
+
+def tensordot_total(f, g):
+    acc = tensordot_compose(f, g, 0).copy()
+    for i in range(1, f.degree):
+        acc += tensordot_compose(f, g, i)
+    return acc
+
+
+def tensordot_bracket(f, g):
+    s = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
+    return 1.0 * tensordot_total(f, g) + -s * tensordot_total(g, f)
+
+
+def kernel_case_op(rng, d, n):
+    """Random coefficients at one scale in [1e-150, 1e150], about a quarter
+    of them replaced by 0.0 or -0.0 (so that results hold signed zeros)."""
+    coeffs = rng.standard_normal((d,) * (n + 1)) * 10.0 ** rng.uniform(-150, 150)
+    zeros = rng.random(coeffs.shape) < 0.25
+    coeffs[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return Operation(d, n, coeffs)
+
+
+def assert_kernel_result(op, want):
+    assert op.coeffs.tobytes() == want.tobytes()
+    assert op.coeffs.shape == want.shape
+    assert op.coeffs.flags.c_contiguous
+    assert not op.coeffs.flags.writeable
+
+
+def test_kernel_bytes_match_tensordot_reference():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        f = kernel_case_op(rng, d, int(rng.integers(1, 5)))
+        g = kernel_case_op(rng, d, int(rng.integers(1, 5)))
+        for i in range(f.degree):
+            assert_kernel_result(partial_compose(f, g, i), tensordot_compose(f, g, i))
+        assert_kernel_result(total_compose(f, g), tensordot_total(f, g))
+        assert_kernel_result(bracket(f, g), tensordot_bracket(f, g))
+
+
+def test_partial_compose_overflow_raises_without_warning():
+    big = Operation(2, 2, [1e200] * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^non-finite coefficient at flat index 0$"):
+            partial_compose(big, big, 1)
 
 
 def test_unit_laws_are_exact():

@@ -2,6 +2,7 @@
 and the end-to-end verification pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from operadlax import (
     closed_form_mu,
     closed_form_mu_dot,
     g_values,
+    grid_lax_residual,
     hamiltonian,
     lax_rhs_bracket,
     lax_rhs_explicit,
@@ -277,6 +279,17 @@ def test_on_shell_residual_vanishes():
             at = aux_exact_flow(a0, s0.omega, float(t))
             resid = lax_ode_residual(at, aux_rhs(at, s0.omega), params, s0.omega)
             assert np.abs(resid).max() <= 1e-10
+
+
+def test_grid_lax_residual_scales_past_overflowing_squares():
+    # 2**600 scales every entry exactly; the squares in the norm (past 2**1200)
+    # overflow, so the rows are recomputed from their scaled entries
+    mu = np.random.default_rng(9).standard_normal((50, 8))
+    want = 2.0**600 * grid_lax_residual(mu, 0.01, 1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = grid_lax_residual(2.0**600 * mu, 0.01, 1.3)
+    np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
 def test_verify_zero_params_mu_checks_exact():

@@ -122,6 +122,12 @@ def main():
         argv = ["axioms", "--trials", "3", "--seed", str(seed),
                 "--dim-max", str(1 + seed % 3), "--deg-max", str(1 + seed // 3 % 3)]
         print(f"axioms-{seed}", run(argv))
+    # the benchmark's axioms request shape: its printed residuals are
+    # rounding noise of many compositions, so they pin the kernel's bytes
+    for k in range(6):
+        argv = ["axioms", "--trials", "25", "--seed", str(100 + k),
+                "--dim-max", str(2 + k % 2), "--deg-max", "3"]
+        print(f"axioms-bench-{k}", run(argv))
 
 
 if __name__ == "__main__":
