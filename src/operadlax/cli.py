@@ -359,7 +359,7 @@ def main(argv=None) -> int:
             parser.error(f"--dim-max must be in [1, 3], got {args.dim_max}")
         if not (1 <= args.deg_max <= 3):
             parser.error(f"--deg-max must be in [1, 3], got {args.deg_max}")
-        if not (args.tol > 0):
+        if not (math.isfinite(args.tol) and args.tol > 0):
             parser.error(f"--tol must be positive, got {args.tol}")
         if args.seed < 0:
             parser.error(f"--seed must be >= 0, got {args.seed}")

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "Operation",
-    "make_operation",
     "identity_op",
     "evaluate",
     "linear_comb",
@@ -92,16 +91,6 @@ def _freeze(op: Operation, arr: np.ndarray) -> None:
     object.__setattr__(op, "coeffs", arr)
 
 
-def make_operation(dim: int, degree: int, coeffs) -> Operation:
-    """Build an Operation from a flat (or shaped) real coefficient array.
-
-    The flat layout is row-major with the output index outermost.
-    Coefficients are stored exactly as given (float64, bit-identical
-    read-back through ``.coeffs``).
-    """
-    return Operation(dim, degree, coeffs)
-
-
 def identity_op(dim: int) -> Operation:
     """The degree-1 identity operation, coeffs[i, j] = delta_ij."""
     if dim < 1:
@@ -138,7 +127,9 @@ def linear_comb(a: float, f: Operation, b: float, g: Operation) -> Operation:
             f"shape mismatch: (dim, degree) = ({f.dim}, {f.degree}) vs "
             f"({g.dim}, {g.degree})"
         )
-    return Operation._trusted(f.dim, f.degree, a * f.coeffs + b * g.coeffs)
+    # an overflowing sum is reported by the finite check in _trusted
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Operation._trusted(f.dim, f.degree, a * f.coeffs + b * g.coeffs)
 
 
 def frobenius_norm(f: Operation) -> float:

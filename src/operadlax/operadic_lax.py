@@ -18,14 +18,19 @@ The equation is linear in mu: ``lax_generator`` is its 8x8 matrix, built
 once from the index form on the basis tensors; it drives the RK4 runs of
 mu and the verifier's Lax residual.
 
-The general solution is an 8-parameter family, linear in the parameters
-C1..C8 and in the oscillator's auxiliary functions (A+, A-, D+, D-)
-(``closed_form_mu``).  The residual of the eight ODEs for that family
-collapses onto the four rotation-law residuals G through a fixed 8x8
-coefficient pattern (``reduced_lax_residuals``): the residual of the
-alpha-th component equals sum_beta C_beta Gamma[beta][alpha], identically
-in (aux, aux_dot).  On trajectories the G's vanish, so the family solves
-the Lax equation; the whole chain is verified numerically end to end by
+The general solution is an 8-parameter family mu = K(C) a, linear in the
+parameters C1..C8 and in the oscillator's auxiliary functions
+a = (A+, A-, D+, D-) (``closed_form_mu``).  The family solves the Lax
+equation exactly when K(C) R = A K(C), with R the rotation-law generator
+(``aux_generator``) and A the Lax generator (``lax_generator``).  Then the
+residual of the eight ODEs is
+
+    d(mu)/dt - A mu = K(C) (a_dot - R a) = K(C) G,
+
+the family itself evaluated at the four rotation-law residuals G, for any,
+even off-trajectory, (aux, aux_dot) (``reduced_lax_residuals``).  On
+trajectories the G's vanish, so the family solves the Lax equation; the
+whole chain is verified numerically end to end by
 ``verify_lax_representation``.
 
 Component order everywhere (flat index alpha = 0..7, 1-based labels):
@@ -44,16 +49,14 @@ import numpy as np
 
 from .multilinear import Operation
 from .operad import bracket
-from .oscillator import (  # g_values is re-exported from its former home
+from .oscillator import (
     AuxValues,
     IntegrationError,
     OscState,
-    RotationResiduals,
     _check_omega,
     aux_algebraic,
     aux_exact_flow,
     energy,
-    g_values,
     hamilton_generator,
     hamilton_rhs,
     hamiltonian,
@@ -73,7 +76,6 @@ __all__ = [
     "lax_rhs_explicit",
     "lax_generator",
     "closed_form_mu",
-    "closed_form_mu_dot",
     "closed_form_path",
     "grid_lax_residual",
     "reduced_lax_residuals",
@@ -267,13 +269,9 @@ def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants
 
     Linear both in the parameters and in (A+, A-, D+, D-); evaluated on an
     aux trajectory it solves the operadic Lax equation.  Being linear with
-    constant coefficients, the same map sends aux rates to d(mu)/dt, so
-    ``closed_form_mu_dot`` is this function.
+    constant coefficients, the same map sends aux rates to d(mu)/dt.
     """
     return StructureConstants2(_mu_components(aux, params.values))
-
-
-closed_form_mu_dot = closed_form_mu
 
 
 def closed_form_path(a0: AuxValues, omega: float, ts, c) -> np.ndarray:
@@ -314,33 +312,18 @@ def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     return _row_norms(dmu - _explicit_rhs(mu, omega))
 
 
-def reduced_lax_residuals(rot: RotationResiduals, params: SolutionParams) -> np.ndarray:
+def reduced_lax_residuals(rot: AuxValues, params: SolutionParams) -> np.ndarray:
     """Predicted Lax-equation residuals of the closed form, from the G's alone.
 
-    Row beta of the 8x8 pattern below collects the G-coefficients of
-    parameter C_beta; contracting the parameter vector against the rows
-    yields the residual of component alpha in the canonical order.  The
-    identity
+    The family is mu = K(C) a, and it solves the Lax equation because
+    K(C) R = A K(C) (R = ``aux_generator``, A = ``lax_generator``).  So
 
-        d(closed form)/dt - rhs(closed form) = reduced_lax_residuals
+        d(closed form)/dt - A (closed form) = K(C) (aux_dot - R aux) = K(C) G:
 
-    holds exactly for arbitrary, even off-trajectory, (aux, aux_dot).
+    the residual is the closed form evaluated at the rotation-law residuals
+    ``rot``, identically in (aux, aux_dot), even off-trajectory.
     """
-    g1, g2 = rot.a_plus, rot.a_minus
-    g3, g4 = rot.d_plus, rot.d_minus
-    pattern = np.array(
-        [
-            [0, g1, -g1, 0, 0, g2, -g2, 0],
-            [0, g2, -g2, 0, 0, -g1, g1, 0],
-            [0, 0, -g1, -g2, g1, g2, 0, 0],
-            [0, 0, -g2, g1, g2, -g1, 0, 0],
-            [g2, 0, -g1, 0, 0, g2, 0, -g1],
-            [g1, 0, g2, 0, 0, g1, 0, g2],
-            [g4, -g3, -g3, -g4, -g3, -g4, -g4, g3],
-            [g3, g4, g4, -g3, g4, -g3, -g3, -g4],
-        ]
-    )
-    return params.values @ pattern
+    return _mu_components(rot, params.values)
 
 
 def verify_lax_representation(
@@ -380,6 +363,8 @@ def verify_lax_representation(
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be positive, got {t_end}")
     omega = s0.omega
     cvals = params.values
     ts = np.linspace(0.0, t_end, steps + 1)

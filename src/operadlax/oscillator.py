@@ -48,7 +48,6 @@ from .multilinear import Operation
 __all__ = [
     "OscState",
     "AuxValues",
-    "RotationResiduals",
     "IntegrationError",
     "energy",
     "hamiltonian",
@@ -58,7 +57,6 @@ __all__ = [
     "exact_flow",
     "rk4_path",
     "rk4_linear_path",
-    "rk4_integrate",
     "m_matrix",
     "lax_matrices",
     "classical_lax_residual",
@@ -105,10 +103,6 @@ class AuxValues:
     a_minus: float
     d_plus: float
     d_minus: float
-
-
-RotationResiduals = AuxValues
-"""Residuals of the aux rotation laws: (G(A)+, G(A)-, G(D)+, G(D)-)."""
 
 
 def energy(q, p, omega: float):
@@ -227,15 +221,6 @@ def hamilton_generator(omega: float) -> np.ndarray:
     return np.array([[0.0, 1.0], [-omega * omega, 0.0]])
 
 
-def rk4_integrate(s0: OscState, t_end: float, steps: int):
-    """RK4 trajectory of Hamilton's equations; list of (t, OscState) samples."""
-    ts, ys = rk4_linear_path(hamilton_generator(s0.omega), [s0.q, s0.p], t_end, steps)
-    return [
-        (float(t), OscState(float(q), float(p), s0.omega))
-        for t, (q, p) in zip(ts, ys)
-    ]
-
-
 def m_matrix(omega: float) -> Operation:
     """The constant rotation generator (omega/2) [[0, -1], [1, 0]]."""
     _check_omega(omega)
@@ -320,10 +305,10 @@ def aux_generator(omega: float) -> np.ndarray:
     return np.kron(np.diag([0.5 * omega, 1.5 * omega]), [[0.0, -1.0], [1.0, 0.0]])
 
 
-def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> RotationResiduals:
-    """Rotation-law residuals of an arbitrary (values, rates) pair:
-    aux_dot - aux_rhs(aux)."""
-    return RotationResiduals(
+def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> AuxValues:
+    """Rotation-law residuals (G(A)+, G(A)-, G(D)+, G(D)-) of an arbitrary
+    (values, rates) pair: aux_dot - aux_rhs(aux)."""
+    return AuxValues(
         *np.subtract(astuple(aux_dot), astuple(aux_rhs(aux, omega)))
     )
 

@@ -359,6 +359,9 @@ def test_verify_accepts_integer_reals(tmp_path, capsys):
     # a flag simulate no longer takes, and a config that is not UTF-8
     ["simulate", "--tol", "1"],
     ["verify", "{latin1_config}"],
+    # a tolerance no residual can exceed
+    ["axioms", "--tol", "inf"],
+    ["axioms", "--tol", "1e400"],
 ])
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     # in-process, so an uncaught exception (a traceback) fails the test

@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from operadlax import (
+    Operation,
     evaluate,
     frobenius_norm,
     identity_op,
     linear_comb,
-    make_operation,
 )
 
 
 def test_make_operation_stores_matrix_exactly():
-    op = make_operation(2, 1, [0, -1, 1, 0])
+    op = Operation(2, 1, [0, -1, 1, 0])
     np.testing.assert_array_equal(op.coeffs, [[0.0, -1.0], [1.0, 0.0]])
     assert op.dim == 2 and op.degree == 1 and op.reduced_degree == 0
 
 
 def test_make_operation_zero_binary():
-    op = make_operation(2, 2, np.zeros(8))
+    op = Operation(2, 2, np.zeros(8))
     assert op.coeffs.shape == (2, 2, 2)
     assert not op.coeffs.any()
     assert op.reduced_degree == 1
@@ -28,29 +28,29 @@ def test_make_operation_zero_binary():
 def test_make_operation_readback_bit_identical():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(3 ** 3)
-    op = make_operation(3, 2, coeffs)
+    op = Operation(3, 2, coeffs)
     np.testing.assert_array_equal(op.coeffs.ravel(), coeffs)
 
 
 def test_make_operation_length_mismatch():
     with pytest.raises(ValueError, match="expected 8"):
-        make_operation(2, 2, np.zeros(7))
+        Operation(2, 2, np.zeros(7))
 
 
 def test_make_operation_rejects_non_finite():
     bad = np.zeros(8)
     bad[5] = np.nan
     with pytest.raises(ValueError, match="flat index 5"):
-        make_operation(2, 2, bad)
+        Operation(2, 2, bad)
 
 
 def test_make_operation_rejects_degree_zero():
     with pytest.raises(ValueError, match="degree"):
-        make_operation(2, 0, [1.0, 0.0])
+        Operation(2, 0, [1.0, 0.0])
 
 
 def test_coeffs_are_read_only():
-    op = make_operation(2, 1, np.eye(2))
+    op = Operation(2, 1, np.eye(2))
     with pytest.raises(ValueError):
         op.coeffs[0, 0] = 5.0
 
@@ -73,18 +73,18 @@ def test_evaluate_identity():
 
 def test_evaluate_structure_constant_on_basis():
     # mu111 = 1 means mu(e1, e1) = e1
-    mu = make_operation(2, 2, [1, 0, 0, 0, 0, 0, 0, 0])
+    mu = Operation(2, 2, [1, 0, 0, 0, 0, 0, 0, 0])
     np.testing.assert_array_equal(evaluate(mu, [[1, 0], [1, 0]]), [1.0, 0.0])
 
 
 def test_evaluate_bilinear_scaling():
     # hand expansion: mu(2 e1, 3 e1) = 6 mu(e1, e1) = 6 e1
-    mu = make_operation(2, 2, [1, 0, 0, 0, 0, 0, 0, 0])
+    mu = Operation(2, 2, [1, 0, 0, 0, 0, 0, 0, 0])
     np.testing.assert_allclose(evaluate(mu, [[2, 0], [3, 0]]), [6.0, 0.0])
 
 
 def test_evaluate_arity_and_dim_mismatch():
-    mu = make_operation(2, 2, np.zeros(8))
+    mu = Operation(2, 2, np.zeros(8))
     with pytest.raises(ValueError, match="arity"):
         evaluate(mu, [[1, 0]])
     with pytest.raises(ValueError, match="shape"):
@@ -96,7 +96,7 @@ def test_evaluate_linear_in_each_slot():
     for _ in range(30):
         d = int(rng.integers(1, 4))
         n = int(rng.integers(1, 4))
-        op = make_operation(d, n, rng.standard_normal(d ** (n + 1)))
+        op = Operation(d, n, rng.standard_normal(d ** (n + 1)))
         slot = int(rng.integers(0, n))
         x, y = rng.standard_normal((2, d))
         a, b = rng.standard_normal(2)
@@ -113,7 +113,7 @@ def test_evaluate_linear_in_each_slot():
 
 def test_linear_comb_cancellation_is_exact():
     rng = np.random.default_rng(3)
-    f = make_operation(2, 2, rng.standard_normal(8))
+    f = Operation(2, 2, rng.standard_normal(8))
     zero = linear_comb(1.0, f, -1.0, f)
     assert not zero.coeffs.any()
 
@@ -124,8 +124,8 @@ def test_linear_comb_scaling():
 
 
 def test_linear_comb_disjoint_supports_union():
-    a = make_operation(2, 2, [1, 0, 0, 0, 0, 0, 0, 0])
-    b = make_operation(2, 2, [0, 0, 0, 5, 0, 0, 0, 0])
+    a = Operation(2, 2, [1, 0, 0, 0, 0, 0, 0, 0])
+    b = Operation(2, 2, [0, 0, 0, 5, 0, 0, 0, 0])
     both = linear_comb(1.0, a, 1.0, b)
     np.testing.assert_array_equal(both.coeffs.ravel(), [1, 0, 0, 5, 0, 0, 0, 0])
 
@@ -136,16 +136,16 @@ def test_linear_comb_shape_mismatch():
 
 
 def test_frobenius_norm_values():
-    assert frobenius_norm(make_operation(2, 2, np.zeros(8))) == 0.0
+    assert frobenius_norm(Operation(2, 2, np.zeros(8))) == 0.0
     assert frobenius_norm(identity_op(2)) == pytest.approx(np.sqrt(2), rel=1e-15)
-    pm = make_operation(2, 2, [1, 0, 0, -1, 0, 0, 0, 0])
+    pm = Operation(2, 2, [1, 0, 0, -1, 0, 0, 0, 0])
     assert frobenius_norm(pm) == pytest.approx(np.sqrt(2), rel=1e-15)
 
 
 def test_frobenius_norm_homogeneous():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        f = make_operation(2, 2, rng.standard_normal(8))
+        f = Operation(2, 2, rng.standard_normal(8))
         a = float(rng.standard_normal())
         scaled = linear_comb(a, f, 0.0, f)
         assert frobenius_norm(scaled) == pytest.approx(

@@ -21,14 +21,14 @@ from operadlax import (
     frobenius_norm,
     identity_op,
     jacobi_residual,
-    make_operation,
+    linear_comb,
     partial_compose,
     total_compose,
     unit_residual,
 )
 
-MU111 = make_operation(2, 2, [1, 0, 0, 0, 0, 0, 0, 0])
-ROT = make_operation(2, 1, [0, -1, 1, 0])  # Me1 = e2, Me2 = -e1
+MU111 = Operation(2, 2, [1, 0, 0, 0, 0, 0, 0, 0])
+ROT = Operation(2, 1, [0, -1, 1, 0])  # Me1 = e2, Me2 = -e1
 
 
 def compose_by_evaluation(f, g, slot):
@@ -143,6 +143,11 @@ def test_partial_compose_overflow_raises_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^non-finite coefficient at flat index 0$"):
             partial_compose(big, big, 1)
+        # finite terms whose sum overflows
+        with pytest.raises(ValueError, match=r"^non-finite coefficient at flat index 0$"):
+            total_compose(Operation(1, 2, [1.2e154]), Operation(1, 1, [1.2e154]))
+        with pytest.raises(ValueError, match=r"^non-finite coefficient at flat index 0$"):
+            linear_comb(1.0, Operation(1, 1, [1e308]), 1.0, Operation(1, 1, [1e308]))
 
 
 def test_unit_laws_are_exact():

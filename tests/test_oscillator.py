@@ -28,11 +28,19 @@ from operadlax import (
     lax_rhs_bracket,
     lax_rhs_explicit,
     m_matrix,
-    rk4_integrate,
     rk4_linear_path,
     rk4_path,
 )
 from operadlax.operadic_lax import _explicit_rhs
+
+
+def rk4_integrate(s0, t_end, steps):
+    """RK4 trajectory of Hamilton's equations; list of (t, OscState) samples."""
+    ts, ys = rk4_linear_path(hamilton_generator(s0.omega), [s0.q, s0.p], t_end, steps)
+    return [
+        (float(t), OscState(float(q), float(p), s0.omega))
+        for t, (q, p) in zip(ts, ys)
+    ]
 
 
 def test_hamiltonian_values():
