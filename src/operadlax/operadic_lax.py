@@ -28,7 +28,7 @@ residual of the eight ODEs is
     d(mu)/dt - A mu = K(C) (a_dot - R a) = K(C) G,
 
 the family itself evaluated at the four rotation-law residuals G, for any,
-even off-trajectory, (aux, aux_dot) (``reduced_lax_residuals``).  On
+even off-trajectory, (aux, aux_dot): ``closed_form_mu(G, C)``.  On
 trajectories the G's vanish, so the family solves the Lax equation; the
 whole chain is verified numerically end to end by
 ``verify_lax_representation``.
@@ -53,6 +53,7 @@ from .oscillator import (
     AuxValues,
     IntegrationError,
     OscState,
+    _central_difference,
     _check_omega,
     aux_algebraic,
     aux_exact_flow,
@@ -78,7 +79,6 @@ __all__ = [
     "closed_form_mu",
     "closed_form_path",
     "grid_lax_residual",
-    "reduced_lax_residuals",
     "verify_lax_representation",
     "pde_residual",
 ]
@@ -269,7 +269,13 @@ def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants
 
     Linear both in the parameters and in (A+, A-, D+, D-); evaluated on an
     aux trajectory it solves the operadic Lax equation.  Being linear with
-    constant coefficients, the same map sends aux rates to d(mu)/dt.
+    constant coefficients, the same map K(C) sends aux rates to d(mu)/dt,
+    and as K(C) R = A K(C) (R = ``aux_generator``, A = ``lax_generator``)
+
+        d(closed form)/dt - A (closed form) = K(C) (aux_dot - R aux) = K(C) G:
+
+    evaluated at the rotation-law residuals G (``g_values``) it gives the
+    closed form's Lax-equation residuals, for any (aux, aux_dot) at all.
     """
     return StructureConstants2(_mu_components(aux, params.values))
 
@@ -310,20 +316,6 @@ def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     dmu[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
     dmu[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
     return _row_norms(dmu - _explicit_rhs(mu, omega))
-
-
-def reduced_lax_residuals(rot: AuxValues, params: SolutionParams) -> np.ndarray:
-    """Predicted Lax-equation residuals of the closed form, from the G's alone.
-
-    The family is mu = K(C) a, and it solves the Lax equation because
-    K(C) R = A K(C) (R = ``aux_generator``, A = ``lax_generator``).  So
-
-        d(closed form)/dt - A (closed form) = K(C) (aux_dot - R aux) = K(C) G:
-
-    the residual is the closed form evaluated at the rotation-law residuals
-    ``rot``, identically in (aux, aux_dot), even off-trajectory.
-    """
-    return _mu_components(rot, params.values)
 
 
 def verify_lax_representation(
@@ -382,10 +374,7 @@ def verify_lax_representation(
         raise IntegrationError(f"closed_form_vs_rk4: {exc}") from exc
     gap = float(np.max(np.abs(mu_cf - mu_rk4)))
 
-    dmu = (
-        closed_form_path(a0, omega, ts + h_fd, cvals)
-        - closed_form_path(a0, omega, ts - h_fd, cvals)
-    ) / (2.0 * h_fd)
+    dmu = _central_difference(lambda t: closed_form_path(a0, omega, t, cvals), ts, h_fd)
     lax_res = float(np.max(_row_norms(dmu - mu_cf @ generator.T)))
 
     norms = _row_norms(mu_cf)
@@ -445,12 +434,11 @@ def pde_residual(params: SolutionParams, s: OscState, h_fd: float = 1e-5) -> flo
     def mu_at(q: float, p: float) -> np.ndarray:
         return _mu_components(aux_algebraic(OscState(q, p, omega)), cvals)
 
-    inv = 1.0 / (2.0 * h_fd)
-    dq = (mu_at(s.q + h_fd, s.p) - mu_at(s.q - h_fd, s.p)) * inv
-    dp = (mu_at(s.q, s.p + h_fd) - mu_at(s.q, s.p - h_fd)) * inv
+    dq = _central_difference(lambda q: mu_at(q, s.p), s.q, h_fd)
+    dp = _central_difference(lambda p: mu_at(s.q, p), s.p, h_fd)
     q_dot, p_dot = hamilton_rhs(s)
     advect = q_dot * dq + p_dot * dp
     commutator = lax_rhs_bracket(
         closed_form_mu(aux, params).to_operation(), m_matrix(omega)
     )
-    return float(np.linalg.norm(advect - commutator.coeffs.reshape(8)))
+    return float(_row_norms((advect - commutator.coeffs.reshape(8))[None])[0])

@@ -79,6 +79,14 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
+def _central_difference(f: Callable, x, h: float):
+    """(f(x + h) - f(x - h)) / (2 h): the derivative of f at x up to O(h^2).
+    The package's one central difference of a callable; h is the caller's h_fd."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h_fd must be positive, got {h}")
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
 @dataclass(frozen=True)
 class OscState:
     """Phase-space point (q, p) with fixed angular frequency omega > 0."""
@@ -241,10 +249,8 @@ def classical_lax_residual(s0: OscState, t: float, h_fd: float = 1e-5) -> float:
 
     dL/dt by second-order central differences, so the residual is O(h_fd^2).
     """
-    lp = lax_matrices(exact_flow(s0, t + h_fd))[0].coeffs
-    lm = lax_matrices(exact_flow(s0, t - h_fd))[0].coeffs
+    dl = _central_difference(lambda tt: lax_matrices(exact_flow(s0, tt))[0].coeffs, t, h_fd)
     lc, mc = (op.coeffs for op in lax_matrices(exact_flow(s0, t)))
-    dl = (lp - lm) / (2.0 * h_fd)
     return float(np.linalg.norm(dl - (mc @ lc - lc @ mc)))
 
 
@@ -283,12 +289,14 @@ def aux_exact_flow(a0: AuxValues, omega: float, t) -> AuxValues:
     half = 0.5 * omega * t
     c1, s1 = np.cos(half), np.sin(half)
     c3, s3 = np.cos(3.0 * half), np.sin(3.0 * half)
-    return AuxValues(
-        a0.a_plus * c1 - a0.a_minus * s1,
-        a0.a_minus * c1 + a0.a_plus * s1,
-        a0.d_plus * c3 - a0.d_minus * s3,
-        a0.d_minus * c3 + a0.d_plus * s3,
-    )
+    # an infinite seed (H overflowed) gives non-finite values; callers report them
+    with np.errstate(over="ignore", invalid="ignore"):
+        return AuxValues(
+            a0.a_plus * c1 - a0.a_minus * s1,
+            a0.a_minus * c1 + a0.a_plus * s1,
+            a0.d_plus * c3 - a0.d_minus * s3,
+            a0.d_minus * c3 + a0.d_plus * s3,
+        )
 
 
 def aux_rhs(a: AuxValues, omega: float) -> AuxValues:
@@ -301,8 +309,8 @@ def aux_rhs(a: AuxValues, omega: float) -> AuxValues:
 
 def aux_generator(omega: float) -> np.ndarray:
     """Generator of the rotation laws on (A+, A-, D+, D-): (A+, A-) rotate at
-    omega/2 and (D+, D-) at 3 omega/2."""
-    return np.kron(np.diag([0.5 * omega, 1.5 * omega]), [[0.0, -1.0], [1.0, 0.0]])
+    omega/2 and (D+, D-) at 3 omega/2: M and 3 M, with M = ``m_matrix``."""
+    return np.kron(np.diag([1.0, 3.0]), m_matrix(omega).coeffs)
 
 
 def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> AuxValues:
@@ -322,8 +330,8 @@ def g_residuals_along(
     (G(A)+, G(A)-, G(D)+, G(D)-).  Zero up to O(h_fd^2) iff the path obeys
     the rotation laws.
     """
-    rates = np.subtract(astuple(path(t + h_fd)), astuple(path(t - h_fd)))
-    return astuple(g_values(path(t), AuxValues(*(rates * (1.0 / (2.0 * h_fd)))), omega))
+    rates = _central_difference(lambda tt: np.array(astuple(path(tt))), t, h_fd)
+    return astuple(g_values(path(t), AuxValues(*rates), omega))
 
 
 def g_residuals(

@@ -406,6 +406,21 @@ def test_verify_overflow_is_one_error_line(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "{config}", "--q0", "1e200"],
+     "error: closed_form: non-finite value at sample 0 (t = 0)"),
+    (["simulate", "--q0", "1e200", "--c", C1], "error: non-finite value in sample 0"),
+], ids=["verify", "simulate"])
+def test_infinite_energy_is_one_error_line(tmp_path, capsys, argv, line):
+    # H overflows at q0 = 1e200, so the aux seed is infinite
+    config = write_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, [a.format(config=config) for a in argv])
+    assert code == 1
+    assert err.splitlines() == [line]
+
+
 def reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 

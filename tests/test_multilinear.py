@@ -12,39 +12,39 @@ from operadlax import (
 )
 
 
-def test_make_operation_stores_matrix_exactly():
+def test_operation_stores_matrix_exactly():
     op = Operation(2, 1, [0, -1, 1, 0])
     np.testing.assert_array_equal(op.coeffs, [[0.0, -1.0], [1.0, 0.0]])
     assert op.dim == 2 and op.degree == 1 and op.reduced_degree == 0
 
 
-def test_make_operation_zero_binary():
+def test_operation_zero_binary():
     op = Operation(2, 2, np.zeros(8))
     assert op.coeffs.shape == (2, 2, 2)
     assert not op.coeffs.any()
     assert op.reduced_degree == 1
 
 
-def test_make_operation_readback_bit_identical():
+def test_operation_readback_bit_identical():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(3 ** 3)
     op = Operation(3, 2, coeffs)
     np.testing.assert_array_equal(op.coeffs.ravel(), coeffs)
 
 
-def test_make_operation_length_mismatch():
+def test_operation_length_mismatch():
     with pytest.raises(ValueError, match="expected 8"):
         Operation(2, 2, np.zeros(7))
 
 
-def test_make_operation_rejects_non_finite():
+def test_operation_rejects_non_finite():
     bad = np.zeros(8)
     bad[5] = np.nan
     with pytest.raises(ValueError, match="flat index 5"):
         Operation(2, 2, bad)
 
 
-def test_make_operation_rejects_degree_zero():
+def test_operation_rejects_degree_zero():
     with pytest.raises(ValueError, match="degree"):
         Operation(2, 0, [1.0, 0.0])
 

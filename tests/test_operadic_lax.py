@@ -18,7 +18,10 @@ from operadlax import (
     aux_algebraic,
     aux_exact_flow,
     aux_rhs,
+    classical_lax_residual,
     closed_form_mu,
+    g_residuals,
+    g_residuals_along,
     g_values,
     grid_lax_residual,
     hamiltonian,
@@ -27,7 +30,6 @@ from operadlax import (
     lax_rhs_index,
     m_matrix,
     pde_residual,
-    reduced_lax_residuals,
     verify_lax_representation,
 )
 
@@ -185,13 +187,13 @@ def test_closed_form_last_parameter():
     assert got == want
 
 
-def test_closed_form_mu_dot_same_linear_map():
+def test_closed_form_mu_of_rates_same_linear_map():
     rng = np.random.default_rng(5)
     zero_rates = AuxValues(0, 0, 0, 0)
     assert not closed_form_mu(zero_rates, SolutionParams(rng.uniform(-1, 1, 8))).values.any()
 
 
-def test_closed_form_mu_dot_fifth_parameter_column():
+def test_closed_form_mu_of_rates_fifth_parameter_column():
     got = named(closed_form_mu(AuxValues(0, 1, 0, 0), params_unit(4)).values)
     assert got == {**{k: 0.0 for k in COMPONENT_NAMES}, "mu111": 1.0, "mu212": 1.0}
 
@@ -220,9 +222,9 @@ def test_g_values_on_flow_vanish():
 def test_reduced_residuals_zero_inputs():
     rng = np.random.default_rng(7)
     zero_g = AuxValues(0, 0, 0, 0)
-    assert not reduced_lax_residuals(zero_g, SolutionParams(rng.uniform(-1, 1, 8))).any()
+    assert not closed_form_mu(zero_g, SolutionParams(rng.uniform(-1, 1, 8))).values.any()
     some_g = AuxValues(*rng.uniform(-1, 1, 4))
-    assert not reduced_lax_residuals(some_g, SolutionParams(np.zeros(8))).any()
+    assert not closed_form_mu(some_g, SolutionParams(np.zeros(8))).values.any()
 
 
 def lax_ode_residual(aux, aux_dot, params, omega):
@@ -243,7 +245,7 @@ def test_reduction_identity_off_shell():
         params = SolutionParams(rng.uniform(-1, 1, 8))
         omega = float(rng.uniform(0.3, 2.5))
         direct = lax_ode_residual(aux, aux_dot, params, omega)
-        predicted = reduced_lax_residuals(g_values(aux, aux_dot, omega), params)
+        predicted = closed_form_mu(g_values(aux, aux_dot, omega), params).values
         np.testing.assert_allclose(direct, predicted, atol=1e-12)
 
 
@@ -259,7 +261,7 @@ def test_reduction_pattern_derived_per_parameter():
     g = g_values(aux, aux_dot, omega)
     for beta in range(8):
         direct = lax_ode_residual(aux, aux_dot, params_unit(beta), omega)
-        predicted = reduced_lax_residuals(g, params_unit(beta))
+        predicted = closed_form_mu(g, params_unit(beta)).values
         np.testing.assert_allclose(direct, predicted, atol=1e-13)
 
 
@@ -390,3 +392,34 @@ def test_pde_residual_random_interior_states():
 def test_pde_residual_refuses_branch_locus():
     with pytest.raises(BranchLocusError, match="branch"):
         pde_residual(params_unit(6), OscState(0.0, -1.0, 1.0))
+
+
+def test_pde_residual_norm_does_not_overflow():
+    # |mu| is about 1e200, so the norm's squares overflow; scaling by a
+    # power of two keeps every other step exact
+    s = OscState(0.3, 1.1, 1.0)
+    big = 2.0 ** 664
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = pde_residual(SolutionParams([big] * 8), s)
+    assert r == pytest.approx(big * pde_residual(SolutionParams(np.ones(8)), s), rel=1e-15)
+
+
+STEP_CHECKED = {
+    "verify_lax_representation": lambda h: verify_lax_representation(
+        SolutionParams(np.ones(8)), CANONICAL, 1.0, 10, 1e-6, h_fd=h
+    ),
+    "pde_residual": lambda h: pde_residual(SolutionParams(np.ones(8)), CANONICAL, h),
+    "classical_lax_residual": lambda h: classical_lax_residual(CANONICAL, 0.5, h),
+    "g_residuals": lambda h: g_residuals(CANONICAL, 0.5, h),
+    "g_residuals_along": lambda h: g_residuals_along(
+        lambda t: aux_exact_flow(aux_algebraic(CANONICAL), 1.0, t), 1.0, 0.5, h
+    ),
+}
+
+
+@pytest.mark.parametrize("h_fd", [0.0, -1e-4, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(STEP_CHECKED))
+def test_finite_difference_step_must_be_positive(name, h_fd):
+    with pytest.raises(ValueError, match="h_fd"):
+        STEP_CHECKED[name](h_fd)

@@ -132,6 +132,12 @@ def test_rk4_path_blowup_reports_step():
             rk4_path(lambda y: y * y, np.array([1.0]), 1e6, 10)
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_aux_generator_rejects_bad_omega(omega):
+    with pytest.raises(ValueError, match="omega"):
+        aux_generator(omega)
+
+
 def test_hamilton_generator_matches_rhs():
     s = OscState(0.7, -1.3, 2.5)
     np.testing.assert_array_equal(hamilton_generator(2.5) @ [s.q, s.p], hamilton_rhs(s))
