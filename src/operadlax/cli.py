@@ -27,6 +27,7 @@ does.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -318,6 +319,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, tol: bool) -> None:
     parser.add_argument("--seed", type=int)
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="operadlax",

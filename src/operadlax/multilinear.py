@@ -18,6 +18,7 @@ rejected: nothing in this package needs them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,12 +83,17 @@ class Operation:
         return self.degree - 1
 
 
-def _freeze(op: Operation, arr: np.ndarray) -> None:
-    """Reject non-finite entries, then store ``arr`` read-only as op.coeffs."""
+def _check_finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or a ValueError naming its first non-finite entry."""
     if not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
         raise ValueError(f"non-finite coefficient at flat index {bad}")
-    arr.setflags(write=False)
+    return arr
+
+
+def _freeze(op: Operation, arr: np.ndarray) -> None:
+    """Reject non-finite entries, then store ``arr`` read-only as op.coeffs."""
+    _check_finite(arr).setflags(write=False)
     object.__setattr__(op, "coeffs", arr)
 
 
@@ -134,4 +140,19 @@ def linear_comb(a: float, f: Operation, b: float, g: Operation) -> Operation:
 
 def frobenius_norm(f: Operation) -> float:
     """Square root of the sum of squared coefficients."""
-    return float(np.linalg.norm(f.coeffs))
+    return float(_norm(f.coeffs))
+
+
+def _norm(x: np.ndarray, axis: int | None = None) -> np.ndarray | np.floating:
+    """``np.linalg.norm(x, axis=axis)`` without overflow or warnings: a norm
+    that squaring finite entries (above ~1e154) made infinite is recomputed
+    scaled by the largest magnitude; every other norm keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(x, axis=axis)
+        # numpy's all() on a scalar costs more than the norm itself
+        if math.isfinite(norms) if axis is None else np.isfinite(norms).all():
+            return norms
+        norms = np.linalg.norm(x, axis=axis, keepdims=True)
+        scale = np.max(np.abs(x), axis=axis, keepdims=True)  # finite iff all entries are
+        rescaled = scale * np.linalg.norm(x / scale, axis=axis, keepdims=True)
+        return np.where(~np.isfinite(norms) & np.isfinite(scale), rescaled, norms).squeeze(axis)

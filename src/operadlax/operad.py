@@ -16,6 +16,12 @@ Every axiom of the composition calculus (the three associativity-relation
 cases, the unit laws, graded antisymmetry, the graded Jacobi identity) is
 exposed here as a numerically checkable residual rather than assumed.  All
 signs are computed by integer parity, never floating-point powers.
+
+All compositions run in one private kernel on raw coefficient tensors.  A
+public function does its kernel work under one ``np.errstate`` and checks
+finiteness once, on its result or on the residual before the norm: every
+operand entry multiplies into some output entry and inf * 0 is NaN, so a
+non-finite intermediate always reaches that final tensor.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import functools
 
 import numpy as np
 
-from .multilinear import Operation, identity_op, linear_comb
+from .multilinear import Operation, _check_finite, _norm
 
 __all__ = [
     "partial_compose",
@@ -41,35 +47,25 @@ def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
-def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
-    """f o_i g: contract g into input slot i of f, sign (-1)^(i*|g|)."""
-    if f.dim != g.dim:
-        raise ValueError(f"dim mismatch: {f.dim} vs {g.dim}")
-    if not 0 <= i <= f.reduced_degree:
-        raise ValueError(
-            f"slot {i} out of range 0..{f.reduced_degree} for a degree-"
-            f"{f.degree} operation"
-        )
-    m, n, d = f.degree, g.degree, f.dim
-    # The one np.dot call that numpy's tensor contraction over axes
-    # ([i + 1], [0]) makes, on the same transposed and reshaped operands, so
-    # the same bytes without its Python-level argument handling.  Overflow
-    # is reported by the finite check in _trusted.
+def _compose(fc: np.ndarray, gc: np.ndarray, i: int) -> np.ndarray:
+    """f o_i g on coefficient tensors, as a fresh C-contiguous array: the one
+    np.dot call that numpy's tensor contraction over axes ([i + 1], [0])
+    makes, on the same operands, without its Python-level argument handling."""
+    d, m, n = fc.shape[0], fc.ndim - 1, gc.ndim - 1
+    if gc.shape[0] != d:
+        raise ValueError(f"dim mismatch: {d} vs {gc.shape[0]}")
     perm_f, perm_out = _perms(m, n, i)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = np.dot(f.coeffs.transpose(perm_f).reshape(-1, d), g.coeffs.reshape(d, -1))
+    res = np.dot(fc.transpose(perm_f).reshape(-1, d), gc.reshape(d, -1))
     # The product's axes are f's kept axes then g's inputs; slot g's in at i + 1.
     res = res.reshape((d,) * (m + n)).transpose(perm_out)
-    if _sign(i * g.reduced_degree) < 0:
-        res = np.negative(res, order="C")
-    else:
-        res = np.ascontiguousarray(res)
-    return Operation._trusted(d, m + n - 1, res)
+    if _sign(i * (n - 1)) < 0:
+        return np.negative(res, order="C")
+    return np.ascontiguousarray(res)
 
 
 @functools.lru_cache(maxsize=None)
 def _perms(m: int, n: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis permutations of partial_compose for degrees m, n and slot i:
+    """Axis permutations of _compose for degrees m, n and slot i:
     f's input axis i + 1 moved last, and the product's axes reordered so
     that g's n inputs sit at i + 1."""
     perm_f = (*range(i + 1), *range(i + 2, m + 1), i + 1)
@@ -77,16 +73,35 @@ def _perms(m: int, n: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return perm_f, perm_out
 
 
+def _total(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    acc = _compose(fc, gc, 0)
+    for i in range(1, fc.ndim - 1):
+        acc += _compose(fc, gc, i)
+    return acc
+
+
+def _bracket(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    s = _sign((fc.ndim - 2) * (gc.ndim - 2))
+    return 1.0 * _total(fc, gc) + -float(s) * _total(gc, fc)  # linear_comb's expression
+
+
+def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
+    """f o_i g: contract g into input slot i of f, sign (-1)^(i*|g|)."""
+    if not 0 <= i <= f.reduced_degree:
+        raise ValueError(
+            f"slot {i} out of range 0..{f.reduced_degree} for a degree-"
+            f"{f.degree} operation"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _compose(f.coeffs, g.coeffs, i)
+    return Operation._trusted(f.dim, f.degree + g.degree - 1, res)
+
+
 def total_compose(f: Operation, g: Operation) -> Operation:
     """f • g = sum of f o_i g over all slots i = 0..|f|."""
-    if f.dim != g.dim:
-        raise ValueError(f"dim mismatch: {f.dim} vs {g.dim}")
-    acc = partial_compose(f, g, 0).coeffs.copy()
-    # an overflowing sum is reported by the finite check in _trusted
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, f.degree):
-            acc += partial_compose(f, g, i).coeffs
-    return Operation._trusted(f.dim, f.degree + g.degree - 1, acc)
+        res = _total(f.coeffs, g.coeffs)
+    return Operation._trusted(f.dim, f.degree + g.degree - 1, res)
 
 
 def bracket(f: Operation, g: Operation) -> Operation:
@@ -94,8 +109,9 @@ def bracket(f: Operation, g: Operation) -> Operation:
 
     For degree-1 operations this is the ordinary matrix commutator.
     """
-    s = _sign(f.reduced_degree * g.reduced_degree)
-    return linear_comb(1.0, total_compose(f, g), -float(s), total_compose(g, f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _bracket(f.coeffs, g.coeffs)
+    return Operation._trusted(f.dim, f.degree + g.degree - 1, res)
 
 
 def composition_relation_residual(
@@ -120,33 +136,35 @@ def composition_relation_residual(
             f"j = {j} outside all case ranges: 0..{i - 1}, {i}..{i + fr}, "
             f"{i + fr + 1}..{hr + fr}"
         )
-    lhs = partial_compose(partial_compose(h, f, i), g, j)
-    if j <= i - 1:
-        rhs = partial_compose(partial_compose(h, g, j), f, i + gr)
-        s = _sign(fr * gr)
-    elif j <= i + fr:
-        rhs = partial_compose(h, partial_compose(f, g, j - i), i)
-        s = 1
-    else:
-        rhs = partial_compose(partial_compose(h, g, j - fr), f, i)
-        s = _sign(fr * gr)
-    return float(np.linalg.norm(lhs.coeffs - s * rhs.coeffs))
+    hc, fc, gc = h.coeffs, f.coeffs, g.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = _compose(_compose(hc, fc, i), gc, j)
+        if j <= i - 1:
+            rhs = _compose(_compose(hc, gc, j), fc, i + gr)
+            s = _sign(fr * gr)
+        elif j <= i + fr:
+            rhs = _compose(hc, _compose(fc, gc, j - i), i)
+            s = 1
+        else:
+            rhs = _compose(_compose(hc, gc, j - fr), fc, i)
+            s = _sign(fr * gr)
+        return float(_norm(_check_finite(lhs - s * rhs)))
 
 
 def unit_residual(f: Operation) -> float:
     """max(||id o_0 f - f||, ||f o_i id - f|| for all i); exactly 0 here."""
-    ident = identity_op(f.dim)
-    worst = float(np.linalg.norm(partial_compose(ident, f, 0).coeffs - f.coeffs))
-    for i in range(f.degree):
-        r = float(np.linalg.norm(partial_compose(f, ident, i).coeffs - f.coeffs))
-        worst = max(worst, r)
-    return worst
+    fc, ident = f.coeffs, np.eye(f.dim)
+    # compositions with the identity are exact, so nothing here can overflow
+    diffs = [_compose(ident, fc, 0)] + [_compose(fc, ident, i) for i in range(f.degree)]
+    return max(float(_norm(r - fc)) for r in diffs)
 
 
 def antisymmetry_residual(f: Operation, g: Operation) -> float:
     """Frobenius norm of [f, g] + (-1)^(|f||g|) [g, f]; exactly 0 here."""
     s = _sign(f.reduced_degree * g.reduced_degree)
-    return float(np.linalg.norm(bracket(f, g).coeffs + s * bracket(g, f).coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _bracket(f.coeffs, g.coeffs) + s * _bracket(g.coeffs, f.coeffs)
+        return float(_norm(_check_finite(res)))
 
 
 def jacobi_residual(f: Operation, g: Operation, h: Operation) -> float:
@@ -157,9 +175,11 @@ def jacobi_residual(f: Operation, g: Operation, h: Operation) -> float:
     pure rounding noise.
     """
     fr, gr, hr = f.reduced_degree, g.reduced_degree, h.reduced_degree
-    total = (
-        _sign(fr * hr) * bracket(bracket(f, g), h).coeffs
-        + _sign(gr * fr) * bracket(bracket(g, h), f).coeffs
-        + _sign(hr * gr) * bracket(bracket(h, f), g).coeffs
-    )
-    return float(np.linalg.norm(total))
+    fc, gc, hc = f.coeffs, g.coeffs, h.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = (
+            _sign(fr * hr) * _bracket(_bracket(fc, gc), hc)
+            + _sign(gr * fr) * _bracket(_bracket(gc, hc), fc)
+            + _sign(hr * gr) * _bracket(_bracket(hc, fc), gc)
+        )
+        return float(_norm(_check_finite(res)))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import Operation
+from .multilinear import Operation, _norm
 from .operad import bracket
 from .oscillator import (
     AuxValues,
@@ -286,24 +286,6 @@ def closed_form_path(a0: AuxValues, omega: float, ts, c) -> np.ndarray:
     return _mu_components(aux_exact_flow(a0, omega, ts), c)
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-d array, without overflow.
-
-    ``np.linalg.norm`` squares the entries, so a finite row above ~1e154
-    gets an infinite norm.  Only the rows whose norm came out non-finite
-    while all their entries are finite are recomputed, scaled by their
-    largest magnitude; every other norm keeps np.linalg.norm's bits.
-    """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=1)
-        if not np.isfinite(norms).all():
-            redo = ~np.isfinite(norms) & np.isfinite(x).all(axis=1)
-            rows = x[redo]
-            scale = np.max(np.abs(rows), axis=1)
-            norms[redo] = scale * np.linalg.norm(rows / scale[:, None], axis=1)
-    return norms
-
-
 def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     """Per-sample || d(mu)/dt - [M, mu] || of a sampled trajectory mu, shape
     (samples, 8), with on-grid differences.
@@ -315,7 +297,7 @@ def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     dmu[1:-1] = (mu[2:] - mu[:-2]) / (2.0 * dt)
     dmu[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
     dmu[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
-    return _row_norms(dmu - _explicit_rhs(mu, omega))
+    return _norm(dmu - _explicit_rhs(mu, omega), axis=1)
 
 
 def verify_lax_representation(
@@ -375,9 +357,9 @@ def verify_lax_representation(
     gap = float(np.max(np.abs(mu_cf - mu_rk4)))
 
     dmu = _central_difference(lambda t: closed_form_path(a0, omega, t, cvals), ts, h_fd)
-    lax_res = float(np.max(_row_norms(dmu - mu_cf @ generator.T)))
+    lax_res = float(np.max(_norm(dmu - mu_cf @ generator.T, axis=1)))
 
-    norms = _row_norms(mu_cf)
+    norms = _norm(mu_cf, axis=1)
     norm_drift = float(np.max(np.abs(norms - norms[0])))
 
     try:
@@ -441,4 +423,4 @@ def pde_residual(params: SolutionParams, s: OscState, h_fd: float = 1e-5) -> flo
     commutator = lax_rhs_bracket(
         closed_form_mu(aux, params).to_operation(), m_matrix(omega)
     )
-    return float(_row_norms((advect - commutator.coeffs.reshape(8))[None])[0])
+    return float(_norm((advect - commutator.coeffs.reshape(8))[None], axis=1)[0])

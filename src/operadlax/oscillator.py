@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .multilinear import Operation
+from .multilinear import Operation, _norm
 
 __all__ = [
     "OscState",
@@ -251,7 +251,7 @@ def classical_lax_residual(s0: OscState, t: float, h_fd: float = 1e-5) -> float:
     """
     dl = _central_difference(lambda tt: lax_matrices(exact_flow(s0, tt))[0].coeffs, t, h_fd)
     lc, mc = (op.coeffs for op in lax_matrices(exact_flow(s0, t)))
-    return float(np.linalg.norm(dl - (mc @ lc - lc @ mc)))
+    return float(_norm(dl - (mc @ lc - lc @ mc)))
 
 
 def aux_algebraic(s: OscState) -> AuxValues:

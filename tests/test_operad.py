@@ -85,6 +85,17 @@ def test_partial_compose_validations():
         partial_compose(MU111, ROT, 2)
     with pytest.raises(ValueError, match="dim"):
         partial_compose(MU111, identity_op(3), 0)
+    # the kernel checks dims itself: the residuals never build an Operation
+    other = identity_op(3)
+    for call in (
+        lambda: total_compose(MU111, other),
+        lambda: bracket(MU111, other),
+        lambda: composition_relation_residual(MU111, ROT, other, 0, 0),
+        lambda: antisymmetry_residual(other, ROT),
+        lambda: jacobi_residual(ROT, MU111, other),
+    ):
+        with pytest.raises(ValueError, match=r"^dim mismatch: [23] vs [23]$"):
+            call()
 
 
 def tensordot_compose(f, g, i):
@@ -148,6 +159,105 @@ def test_partial_compose_overflow_raises_without_warning():
             total_compose(Operation(1, 2, [1.2e154]), Operation(1, 1, [1.2e154]))
         with pytest.raises(ValueError, match=r"^non-finite coefficient at flat index 0$"):
             linear_comb(1.0, Operation(1, 1, [1e308]), 1.0, Operation(1, 1, [1e308]))
+
+
+def reference_bracket(f, g):
+    s = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
+    return linear_comb(1.0, total_compose(f, g), -s, total_compose(g, f))
+
+
+def reference_relation(h, f, g, i, j):
+    """composition_relation_residual with every partial result an Operation."""
+    fr, gr = f.reduced_degree, g.reduced_degree
+    s = -1.0 if (fr * gr) % 2 else 1.0
+    lhs = partial_compose(partial_compose(h, f, i), g, j)
+    if j <= i - 1:
+        rhs = partial_compose(partial_compose(h, g, j), f, i + gr)
+    elif j <= i + fr:
+        rhs, s = partial_compose(h, partial_compose(f, g, j - i), i), 1.0
+    else:
+        rhs = partial_compose(partial_compose(h, g, j - fr), f, i)
+    return frobenius_norm(linear_comb(1.0, lhs, -s, rhs))
+
+
+def reference_unit(f):
+    ident = identity_op(f.dim)
+    composed = [partial_compose(ident, f, 0)]
+    composed += [partial_compose(f, ident, i) for i in range(f.degree)]
+    return max(frobenius_norm(linear_comb(1.0, c, -1.0, f)) for c in composed)
+
+
+def reference_antisymmetry(f, g):
+    s = -1.0 if (f.reduced_degree * g.reduced_degree) % 2 else 1.0
+    return frobenius_norm(linear_comb(1.0, reference_bracket(f, g), s, reference_bracket(g, f)))
+
+
+def reference_jacobi(f, g, h):
+    def sign(a, b):
+        return -1.0 if (a.reduced_degree * b.reduced_degree) % 2 else 1.0
+
+    two = linear_comb(
+        sign(f, h), reference_bracket(reference_bracket(f, g), h),
+        sign(g, f), reference_bracket(reference_bracket(g, h), f),
+    )
+    return frobenius_norm(
+        linear_comb(1.0, two, sign(h, g), reference_bracket(reference_bracket(h, f), g))
+    )
+
+
+def outcome(residual, *args):
+    """The residual, or "overflow" where it raises the finite check's error."""
+    try:
+        return residual(*args)
+    except ValueError as exc:
+        assert str(exc).startswith("non-finite coefficient at flat index ")
+        return "overflow"
+
+
+def test_residuals_bitwise_match_operation_level_reference():
+    """Each residual is one raw-array computation with one finite check; the
+    reference builds (and checks) an Operation at every step.  Both give the
+    same float, or both refuse an overflow, at scales 1e-150 to 1e150."""
+    rng = np.random.default_rng(21)
+    counts = {"finite": 0, "overflow": 0}
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        h, f, g = (kernel_case_op(rng, d, int(rng.integers(1, 4))) for _ in range(3))
+        pairs = [
+            (outcome(composition_relation_residual, h, f, g, i, j),
+             outcome(reference_relation, h, f, g, i, j))
+            for i in range(h.degree)
+            for j in range(h.reduced_degree + f.reduced_degree + 1)
+        ]
+        pairs += [(outcome(unit_residual, u), outcome(reference_unit, u)) for u in (h, f, g)]
+        pairs.append((outcome(antisymmetry_residual, f, g), outcome(reference_antisymmetry, f, g)))
+        pairs.append((outcome(jacobi_residual, f, g, h), outcome(reference_jacobi, f, g, h)))
+        for got, want in pairs:
+            assert got == want
+            counts["overflow" if got == "overflow" else "finite"] += 1
+    assert counts["overflow"] > 0 and counts["finite"] > 10 * counts["overflow"]
+
+
+def test_residual_overflow_raises_without_warning():
+    big = Operation(2, 2, [1e200] * 8)
+    rng = np.random.default_rng(22)
+    huge = [Operation(2, 1, rng.standard_normal(4) * 1e102) for _ in range(3)]
+    large = [Operation(2, 2, rng.standard_normal(8) * 1e70) for _ in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for residual, args in [
+            (composition_relation_residual, (big, big, big, 0, 0)),
+            (antisymmetry_residual, (big, big)),
+            (jacobi_residual, (big, big, big)),
+        ]:
+            with pytest.raises(ValueError, match=r"^non-finite coefficient at flat index \d+$"):
+                residual(*args)
+        # compositions with the identity are exact, so the unit laws cannot overflow
+        assert unit_residual(big) == 0.0
+        # finite residuals whose squares overflow: the norm is rescaled
+        assert frobenius_norm(Operation(2, 1, [1e200, 0, 0, 1])) == 1e200
+        assert 1e154 < jacobi_residual(*huge) < np.inf
+        assert 1e154 < composition_relation_residual(*large, 1, 1) < np.inf
 
 
 def test_unit_laws_are_exact():

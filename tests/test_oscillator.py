@@ -249,6 +249,8 @@ def test_classical_lax_residual():
     assert r <= 1e-7
     r_half = classical_lax_residual(OscState(1, 0, 1.0), 0.3, 5e-5)
     assert 3.5 < r / r_half < 4.5
+    # finite entries whose squares overflow: a finite norm and no warning
+    assert np.isfinite(classical_lax_residual(OscState(1e200, 1e200, 1.0), 0.3))
 
 
 def test_aux_algebraic_examples():

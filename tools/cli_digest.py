@@ -2,7 +2,9 @@
 
 Each line is ``<label> <sha256 of exit code, stdout and stderr>``; an
 uncaught exception is hashed as its type and message in place of the exit
-code, so a tree whose CLI raises can be digested too.  Run it
+code, so a tree whose CLI raises can be digested too.  Each command runs
+under a fresh ``"always"`` warning filter, so the warnings it leaks are
+hashed even when an earlier command leaked the same ones.  Run it
 with two source trees on ``PYTHONPATH`` and diff the outputs to see which
 commands changed their bytes:
 
@@ -16,6 +18,7 @@ import io
 import json
 import random
 import tempfile
+import warnings
 from pathlib import Path
 
 from operadlax import cli
@@ -23,7 +26,9 @@ from operadlax import cli
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:
