@@ -60,22 +60,9 @@ class Operation:
                 f"coefficient length mismatch: expected {expected} "
                 f"(= {self.dim}^{self.degree + 1}), got {arr.size}"
             )
-        _freeze(self, arr.reshape((self.dim,) * (self.degree + 1)))
-
-    @classmethod
-    def _trusted(cls, dim: int, degree: int, arr: np.ndarray) -> "Operation":
-        """Wrap a fresh C-contiguous float array of shape (dim,)*(degree+1).
-
-        For kernel results whose shape and dtype the caller already knows:
-        skips the copy, the length check and the reshape of ``__init__``,
-        but keeps the non-finite check, since a product or sum of finite
-        coefficients can overflow.  ``arr`` must not be shared.
-        """
-        op = object.__new__(cls)
-        object.__setattr__(op, "dim", dim)
-        object.__setattr__(op, "degree", degree)
-        _freeze(op, arr)
-        return op
+        arr = _check_finite(arr.reshape((self.dim,) * (self.degree + 1)))
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
 
     @property
     def reduced_degree(self) -> int:
@@ -89,12 +76,6 @@ def _check_finite(arr: np.ndarray) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
         raise ValueError(f"non-finite coefficient at flat index {bad}")
     return arr
-
-
-def _freeze(op: Operation, arr: np.ndarray) -> None:
-    """Reject non-finite entries, then store ``arr`` read-only as op.coeffs."""
-    _check_finite(arr).setflags(write=False)
-    object.__setattr__(op, "coeffs", arr)
 
 
 def identity_op(dim: int) -> Operation:
@@ -121,9 +102,10 @@ def evaluate(op: Operation, args) -> np.ndarray:
                 f"argument {k} has shape {v.shape}, expected ({op.dim},)"
             )
     out = op.coeffs
-    for v in reversed(vecs):
-        out = out @ v
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in reversed(vecs):
+            out = out @ v
+    return _check_finite(out)
 
 
 def linear_comb(a: float, f: Operation, b: float, g: Operation) -> Operation:
@@ -133,9 +115,9 @@ def linear_comb(a: float, f: Operation, b: float, g: Operation) -> Operation:
             f"shape mismatch: (dim, degree) = ({f.dim}, {f.degree}) vs "
             f"({g.dim}, {g.degree})"
         )
-    # an overflowing sum is reported by the finite check in _trusted
+    # an overflowing sum is reported by Operation's finite check
     with np.errstate(over="ignore", invalid="ignore"):
-        return Operation._trusted(f.dim, f.degree, a * f.coeffs + b * g.coeffs)
+        return Operation(f.dim, f.degree, a * f.coeffs + b * g.coeffs)
 
 
 def frobenius_norm(f: Operation) -> float:

@@ -94,14 +94,14 @@ def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         res = _compose(f.coeffs, g.coeffs, i)
-    return Operation._trusted(f.dim, f.degree + g.degree - 1, res)
+    return Operation(f.dim, f.degree + g.degree - 1, res)
 
 
 def total_compose(f: Operation, g: Operation) -> Operation:
     """f • g = sum of f o_i g over all slots i = 0..|f|."""
     with np.errstate(over="ignore", invalid="ignore"):
         res = _total(f.coeffs, g.coeffs)
-    return Operation._trusted(f.dim, f.degree + g.degree - 1, res)
+    return Operation(f.dim, f.degree + g.degree - 1, res)
 
 
 def bracket(f: Operation, g: Operation) -> Operation:
@@ -111,7 +111,7 @@ def bracket(f: Operation, g: Operation) -> Operation:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         res = _bracket(f.coeffs, g.coeffs)
-    return Operation._trusted(f.dim, f.degree + g.degree - 1, res)
+    return Operation(f.dim, f.degree + g.degree - 1, res)
 
 
 def composition_relation_residual(

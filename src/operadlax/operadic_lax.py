@@ -183,8 +183,6 @@ def lax_rhs_bracket(mu: Operation, m: Operation) -> Operation:
     Equals M(xy) - (Mx)y - x(My) on elements, since |M| = 0 makes the
     graded commutator an ordinary one.
     """
-    if mu.dim != m.dim:
-        raise ValueError(f"dim mismatch: {mu.dim} vs {m.dim}")
     return bracket(m, mu)
 
 

@@ -226,6 +226,7 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
 
 def hamilton_generator(omega: float) -> np.ndarray:
     """Generator of Hamilton's equations on (q, p): [[0, 1], [-omega^2, 0]]."""
+    _check_omega(omega)
     return np.array([[0.0, 1.0], [-omega * omega, 0.0]])
 
 

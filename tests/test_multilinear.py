@@ -1,5 +1,7 @@
 """Construction, evaluation and linear algebra of dense multilinear operations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,18 @@ def test_evaluate_arity_and_dim_mismatch():
         evaluate(mu, [[1, 0]])
     with pytest.raises(ValueError, match="shape"):
         evaluate(mu, [[1, 0, 0], [1, 0]])
+
+
+def test_evaluate_overflow_raises_without_warning():
+    # a product of finite coefficients and arguments that overflows is
+    # refused like every other non-finite result, and leaks no warning;
+    # in the second, inf - inf on the way makes the value NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^non-finite coefficient at flat index 0$"):
+            evaluate(Operation(1, 1, [1e200]), [[1e200]])
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(Operation(2, 2, [1e200] * 8), [[1e100, 0], [1e100, -1e100]])
 
 
 def test_evaluate_linear_in_each_slot():

@@ -21,6 +21,7 @@ from operadlax import (
     frobenius_norm,
     identity_op,
     jacobi_residual,
+    lax_rhs_bracket,
     linear_comb,
     partial_compose,
     total_compose,
@@ -93,6 +94,7 @@ def test_partial_compose_validations():
         lambda: composition_relation_residual(MU111, ROT, other, 0, 0),
         lambda: antisymmetry_residual(other, ROT),
         lambda: jacobi_residual(ROT, MU111, other),
+        lambda: lax_rhs_bracket(MU111, other),
     ):
         with pytest.raises(ValueError, match=r"^dim mismatch: [23] vs [23]$"):
             call()

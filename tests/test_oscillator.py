@@ -138,6 +138,12 @@ def test_aux_generator_rejects_bad_omega(omega):
         aux_generator(omega)
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_hamilton_generator_rejects_bad_omega(omega):
+    with pytest.raises(ValueError, match="omega"):
+        hamilton_generator(omega)
+
+
 def test_hamilton_generator_matches_rhs():
     s = OscState(0.7, -1.3, 2.5)
     np.testing.assert_array_equal(hamilton_generator(2.5) @ [s.q, s.p], hamilton_rhs(s))

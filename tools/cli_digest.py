@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import tempfile
 import warnings
@@ -102,6 +103,22 @@ ERROR_ARGV = [
 ]
 
 
+# argparse's own output: the help texts, main's parser.error checks on the
+# axioms flags, and a missing config or subcommand (each exits 0 or 2)
+PARSER_ARGV = [
+    ["--help"],
+    ["axioms", "--help"],
+    ["simulate", "--help"],
+    ["verify", "--help"],
+    ["axioms", "--trials", "0"],
+    ["axioms", "--dim-max", "4"],
+    ["axioms", "--deg-max", "0"],
+    ["axioms", "--tol", "inf"],
+    ["verify"],
+    [],
+]
+
+
 def simulate_all(label, path):
     for integrator in ("exact", "rk4"):
         for fmt in ("csv", "json"):
@@ -111,6 +128,7 @@ def simulate_all(label, path):
 
 
 def main():
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width
     rng = random.Random(2026)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
@@ -137,6 +155,8 @@ def main():
         argv = ["axioms", "--trials", "25", "--seed", str(100 + k),
                 "--dim-max", str(2 + k % 2), "--deg-max", "3"]
         print(f"axioms-bench-{k}", run(argv))
+    for k, argv in enumerate(PARSER_ARGV):
+        print(f"parser-{k}", run(argv))
 
 
 if __name__ == "__main__":
