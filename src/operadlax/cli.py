@@ -36,6 +36,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from ._g17 import format_rows
 from .multilinear import Operation, frobenius_norm
 from .operad import (
     antisymmetry_residual,
@@ -257,16 +258,17 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
 
 
 def _format_table(table: np.ndarray, fmt: str) -> str:
-    """The finite sample table as CSV (``.17g``) or as ``json.dumps(rows,
-    indent=2)`` of one object per row, byte for byte, by one ``%`` per table.
+    """The finite sample table as CSV (``%.17g``) or as ``json.dumps(rows,
+    indent=2)`` of one object per row, byte for byte.
 
-    ``%r`` of a float is ``float.__repr__``, which is what ``json`` writes
-    for a finite float.
+    CSV runs through a vectorised ``%.17g`` kernel (``format_rows``) that
+    hands the values it cannot decide exactly back to ``%``; JSON fills one
+    ``%`` template per table, ``%r`` per value, which is ``float.__repr__``,
+    what ``json`` writes for a finite float.
     """
-    values = tuple(table.ravel().tolist())
     if fmt == "csv":
-        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        return CSV_HEADER + "\n" + (row * len(table)) % values
+        return CSV_HEADER + "\n" + format_rows(table)
+    values = tuple(table.ravel().tolist())
     members = ",\n".join(f'    "{name}": %r' for name in CSV_HEADER.split(","))
     row = "  {\n" + members + "\n  }"
     return "[\n" + ",\n".join([row] * len(table)) % values + "\n]\n"

@@ -70,11 +70,11 @@ class Operation:
         return self.degree - 1
 
 
-def _check_finite(arr: np.ndarray) -> np.ndarray:
-    """``arr``, or a ValueError naming its first non-finite entry."""
+def _check_finite(arr: np.ndarray, entry: str = "coefficient at flat index") -> np.ndarray:
+    """``arr``, or a ValueError naming its first non-finite ``entry``."""
     if not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
-        raise ValueError(f"non-finite coefficient at flat index {bad}")
+        raise ValueError(f"non-finite {entry} {bad}")
     return arr
 
 
@@ -105,7 +105,7 @@ def evaluate(op: Operation, args) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for v in reversed(vecs):
             out = out @ v
-    return _check_finite(out)
+    return _check_finite(out, "value at index")
 
 
 def linear_comb(a: float, f: Operation, b: float, g: Operation) -> Operation:

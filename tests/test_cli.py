@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import operadlax
 from operadlax import (
     OscState,
+    _g17,
     aux_algebraic,
     aux_exact_flow,
     cli,
@@ -211,6 +213,58 @@ def test_format_table_matches_reference_formatters():
     for table in (samples, awkward, samples[:1]):
         assert cli._format_table(table, "csv") == reference_csv(table)
         assert cli._format_table(table, "json") == reference_json(table)
+
+
+def g17_edge_values(rng):
+    """Doubles at the edges of the vectorised %.17g kernel and its fallback."""
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    edges = np.array([5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                      1e-280, 1e280])
+    powers = np.array([float(f"1e{e}") for e in range(-320, 309)])
+    # exact ties: odd m times 2^-(e+1) with m * 5^e in [2e16, 2e17), so that
+    # |x| * 10^(16-k) ends in .5
+    ties = []
+    for e in range(1, 25):
+        low, high = -(-2 * 10**16 // 5**e), min(2 * 10**17 // 5**e, 2**53)
+        if low < high:
+            m = rng.integers(low, high, 200) | 1
+            ties.append(np.ldexp(m.astype(np.float64), -(e + 1)))
+    nines = np.array([float(f"9.99999999999999999e{e}") for e in range(-300, 301)])
+    near = np.concatenate([edges, powers, nines])
+    return np.concatenate([
+        bits[np.isfinite(bits)],
+        rng.integers(1, 2**52, 2000).view(np.float64),  # subnormals
+        [0.0, -0.0, 1.7976931348623157e308], near, -near,
+        np.nextafter(near, 0.0), np.nextafter(near, np.inf),
+        *ties,
+    ])
+
+
+def test_csv_kernel_matches_percent_format():
+    values = g17_edge_values(np.random.default_rng(2026))
+    values = np.resize(values, (-(-values.size // 17), 17))
+    for table in (values, values[:1], values[-3:]):
+        got, want = (text.split("\n") for text in
+                     (cli._format_table(table, "csv"), reference_csv(table)))
+        # the differing rows, not a diff of megabytes
+        assert len(got) == len(want) and not [(g, w) for g, w in zip(got, want) if g != w]
+
+
+def test_csv_kernel_decides_all_but_near_ties_exactly():
+    # the fallback alone would also match %.17g: the vectorised path must
+    # round every value it takes exactly, and hand back only values whose
+    # scaled |x| * 10^(16-k) lies within 1e-6 of a tie (exact ties, common
+    # above 1e12 where doubles have few fraction bits)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-30.0, 30.0, 20_000)
+    d, kidx, slow = _g17._decimal(x, _g17._tables())
+    for value, digits, k, fallback in zip(x.tolist(), d.tolist(), kidx.tolist(), slow.tolist()):
+        mantissa, exponent = ("%.16e" % abs(value)).split("e")
+        if fallback:
+            scaled = Fraction(abs(value)) * Fraction(10) ** (16 - int(exponent))
+            assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 1e-6
+        else:
+            assert (digits, k + _g17.K_MIN) == (int(mantissa.replace(".", "")), int(exponent))
 
 
 def test_simulate_rejects_bad_steps(capsys):

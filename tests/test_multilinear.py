@@ -99,7 +99,7 @@ def test_evaluate_overflow_raises_without_warning():
     # in the second, inf - inf on the way makes the value NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^non-finite coefficient at flat index 0$"):
+        with pytest.raises(ValueError, match="^non-finite value at index 0$"):
             evaluate(Operation(1, 1, [1e200]), [[1e200]])
         with pytest.raises(ValueError, match="non-finite"):
             evaluate(Operation(2, 2, [1e200] * 8), [[1e100, 0], [1e100, -1e100]])

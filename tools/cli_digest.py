@@ -63,6 +63,10 @@ EDGE_CONFIGS = [
     {"omega": 0.5, "q0": 1e-150, "p0": 2e-150, "t_end": 30.0, "steps": 400, "seed": 13},
     # the top of the benchmark's simulate step range
     {"omega": 1.7, "q0": 0.4, "p0": -1.2, "t_end": 37.0, "steps": 20000, "seed": 14},
+    # below 1e-280 the CSV kernel hands values back to %: the t column
+    # (about 1e-291), and then q, p and every column derived from them
+    {"omega": 1.0, "q0": 0.3, "p0": 0.2, "t_end": 1e-290, "steps": 10, "seed": 15},
+    {"omega": 3.0, "q0": 1e-290, "p0": -2e-290, "t_end": 2.0, "steps": 50, "seed": 16},
 ]
 
 
