@@ -6,17 +6,17 @@ equation
     d(mu)/dt = [M, mu] = M • mu - mu • M,       |mu| = 1, |M| = 0,
 
 with M = (omega/2) [[0, -1], [1, 0]].  Expanding the bracket on basis
-vectors gives the equivalent index form
+vectors gives the equivalent index form (``lax_rhs_index``, any dim)
 
-    d(mu^i_jk)/dt = mu^s_jk M^i_s - M^s_j mu^i_sk - M^s_k mu^i_js
-
-and, for dim 2 with the specific M above, eight explicit linear ODEs
-(``lax_rhs_explicit``).  All three right-hand-side routes are implemented
-independently; their agreement is a test target, not an assumption.
+    d(mu^i_jk)/dt = mu^s_jk M^i_s - M^s_j mu^i_sk - M^s_k mu^i_js.
 
 The equation is linear in mu: ``lax_generator`` is its 8x8 matrix, built
-once from the index form on the basis tensors; it drives the RK4 runs of
-mu and the verifier's Lax residual.
+once from the index form on the basis tensors.  It is the one production
+route to [M, mu]: it drives the RK4 runs of mu, the verifier's Lax
+residual, ``grid_lax_residual`` and ``pde_residual``.  The abstract bracket
+and the eight hand-expanded ODEs for dim 2 live in the tests
+(``tests/reference_rhs.py``) as independent oracles; the agreement of all
+routes is a test target, not an assumption.
 
 The general solution is an 8-parameter family mu = K(C) a, linear in the
 parameters C1..C8 and in the oscillator's auxiliary functions
@@ -48,18 +48,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multilinear import Operation, _norm
-from .operad import bracket
 from .oscillator import (
     AuxValues,
     IntegrationError,
     OscState,
     _central_difference,
-    _check_omega,
     aux_algebraic,
     aux_exact_flow,
     energy,
     hamilton_generator,
-    hamilton_rhs,
     hamiltonian,
     m_matrix,
     rk4_linear_path,
@@ -72,9 +69,7 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "BranchLocusError",
-    "lax_rhs_bracket",
     "lax_rhs_index",
-    "lax_rhs_explicit",
     "lax_generator",
     "closed_form_mu",
     "closed_form_path",
@@ -177,15 +172,6 @@ class VerificationReport:
         }
 
 
-def lax_rhs_bracket(mu: Operation, m: Operation) -> Operation:
-    """[M, mu] via the abstract Gerstenhaber bracket.
-
-    Equals M(xy) - (Mx)y - x(My) on elements, since |M| = 0 makes the
-    graded commutator an ordinary one.
-    """
-    return bracket(m, mu)
-
-
 def lax_rhs_index(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
     """[M, mu] via the index formula, for any dimension n.
 
@@ -202,36 +188,6 @@ def lax_rhs_index(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
         - np.einsum("sj,...isk->...ijk", m, mu)
         - np.einsum("sk,...ijs->...ijk", m, mu)
     )
-
-
-def _explicit_rhs(mu: np.ndarray, omega: float) -> np.ndarray:
-    """The eight expanded ODE right-hand sides; mu is (..., 8)."""
-    mu = np.asarray(mu, dtype=float)
-    w = 0.5 * omega
-    m111, m112, m121, m122, m211, m212, m221, m222 = np.moveaxis(mu, -1, 0)
-    return np.stack(
-        [
-            -w * (m211 + m121 + m112),
-            -w * (m212 + m122 - m111),
-            -w * (m221 - m111 + m122),
-            -w * (m222 - m112 - m121),
-            w * (m111 - m221 - m212),
-            w * (m112 - m222 + m211),
-            w * (m121 + m211 - m222),
-            w * (m122 + m212 + m221),
-        ],
-        axis=-1,
-    )
-
-
-def lax_rhs_explicit(mu: StructureConstants2, omega: float) -> StructureConstants2:
-    """[M, mu] written out componentwise for dim 2.
-
-    An independent route to the same right-hand side as ``lax_rhs_bracket``
-    and ``lax_rhs_index``; the triple agreement is asserted by the tests.
-    """
-    _check_omega(omega)
-    return StructureConstants2(_explicit_rhs(mu.values, omega))
 
 
 def lax_generator(omega: float) -> np.ndarray:
@@ -286,7 +242,7 @@ def closed_form_path(a0: AuxValues, omega: float, ts, c) -> np.ndarray:
 
 def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     """Per-sample || d(mu)/dt - [M, mu] || of a sampled trajectory mu, shape
-    (samples, 8), with on-grid differences.
+    (samples, 8), with on-grid differences and [M, mu] as ``lax_generator``.
 
     Second-order central differences inside, second-order one-sided at the
     endpoints, so the result scales as dt^2 for smooth trajectories.
@@ -295,7 +251,7 @@ def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     dmu[1:-1] = (mu[2:] - mu[:-2]) / (2.0 * dt)
     dmu[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
     dmu[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
-    return _norm(dmu - _explicit_rhs(mu, omega), axis=1)
+    return _norm(dmu - mu @ lax_generator(omega).T, axis=1)
 
 
 def verify_lax_representation(
@@ -312,7 +268,7 @@ def verify_lax_representation(
     Over steps+1 samples of [0, t_end]:
 
     * closed_form_vs_rk4    - max componentwise gap between the closed-form
-      mu(t) and the RK4 integration of the explicit ODEs seeded with the
+      mu(t) and the RK4 integration of the Lax equation seeded with the
       t = 0 closed-form value (isolates integrator truncation);
     * lax_equation_residual - max Frobenius norm of d(mu)/dt - [M, mu],
       with the derivative by central differences (step h_fd) on the
@@ -395,7 +351,9 @@ def pde_residual(params: SolutionParams, s: OscState, h_fd: float = 1e-5) -> flo
         p d(mu)/dq - omega^2 q d(mu)/dp - [M, mu],
 
     where mu(q, p) is the closed form through the pointwise principal
-    branch.  Partials by central differences, so the residual is
+    branch, the transport velocity is ``hamilton_generator`` applied to
+    (q, p) and [M, mu] is ``lax_generator`` applied to mu.  Partials by
+    central differences, so the residual is
     O(h_fd^2) on the smooth domain.  States within
     delta = 1e-6 (1 + sqrt(2H)) of the branch locus (|A+| <= delta) are
     refused: the finite differences would straddle a non-smooth branch.
@@ -416,9 +374,7 @@ def pde_residual(params: SolutionParams, s: OscState, h_fd: float = 1e-5) -> flo
 
     dq = _central_difference(lambda q: mu_at(q, s.p), s.q, h_fd)
     dp = _central_difference(lambda p: mu_at(s.q, p), s.p, h_fd)
-    q_dot, p_dot = hamilton_rhs(s)
+    q_dot, p_dot = hamilton_generator(omega) @ (s.q, s.p)
     advect = q_dot * dq + p_dot * dp
-    commutator = lax_rhs_bracket(
-        closed_form_mu(aux, params).to_operation(), m_matrix(omega)
-    )
-    return float(_norm((advect - commutator.coeffs.reshape(8))[None], axis=1)[0])
+    commutator = lax_generator(omega) @ _mu_components(aux, cvals)
+    return float(_norm((advect - commutator)[None], axis=1)[0])

@@ -1,10 +1,10 @@
 """Harmonic oscillator flows, Lax matrices, and auxiliary phase-space functions.
 
 The Hamiltonian H(q, p) = (p^2 + w^2 q^2) / 2 generates dq/dt = p,
-dp/dt = -w^2 q.  Both the closed-form flow and fixed-step RK4 integrators
-are provided: ``rk4_path`` for any right-hand side, and ``rk4_linear_path``
-for the constant-coefficient linear flows y' = A y used throughout the
-package.  The classical Lax pair
+dp/dt = -w^2 q.  Each linear law here is computed only through its
+generator matrix (``hamilton_generator``, ``aux_generator``; both check
+omega) and integrated by ``rk4_linear_path``; ``rk4_path`` is the
+step-by-step RK4 loop for any right-hand side.  The classical Lax pair
 
     L = [[p, w q], [w q, -p]],   M = (w/2) [[0, -1], [1, 0]]
 
@@ -30,9 +30,10 @@ The rotation laws are exactly the vanishing of the residuals
 
     G(A)+- = dA+-/dt +- (w/2) A-+,   G(D)+- = dD+-/dt +- (3w/2) D-+,
 
-computed by ``g_values`` from given rates and by ``g_residuals`` with
-central differences.  Each law is written once: ``energy``, ``exact_path``
-and ``aux_exact_flow`` take array times, and the scalar APIs wrap them.
+computed by ``g_values`` from given rates (a_dot - R a, R = ``aux_generator``)
+and by ``g_residuals`` with central differences.  Each law is written once:
+``energy``, ``exact_path`` and ``aux_exact_flow`` take array times, and the
+scalar APIs wrap them.  Hand-expanded forms are in ``tests/reference_rhs.py``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "IntegrationError",
     "energy",
     "hamiltonian",
-    "hamilton_rhs",
     "hamilton_generator",
     "exact_path",
     "exact_flow",
@@ -62,7 +62,6 @@ __all__ = [
     "classical_lax_residual",
     "aux_algebraic",
     "aux_exact_flow",
-    "aux_rhs",
     "aux_generator",
     "g_values",
     "g_residuals",
@@ -122,11 +121,6 @@ def hamiltonian(s: OscState) -> float:
     return energy(s.q, s.p, s.omega)
 
 
-def hamilton_rhs(s: OscState) -> tuple[float, float]:
-    """(dq/dt, dp/dt) = (p, -omega^2 q)."""
-    return (s.p, -s.omega * s.omega * s.q)
-
-
 def exact_path(s0: OscState, ts):
     """Closed-form (q, p) at the times ts (a scalar or an array): rotation
     of (q, p/omega) at frequency omega."""
@@ -148,6 +142,10 @@ def rk4_path(rhs: Callable[[np.ndarray], np.ndarray], y0, t_end: float, steps: i
     Returns (ts, ys) with ts of length steps+1 including t = 0 and ys of
     shape (steps+1, len(y0)).  Raises IntegrationError naming the step at
     the first non-finite state.
+
+    The package integrates with ``rk4_linear_path``; this loop stays as the
+    tests' step-by-step reference and the benchmark's traced integrator
+    (``bench/spans.py`` looks it up by name).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -300,14 +298,6 @@ def aux_exact_flow(a0: AuxValues, omega: float, t) -> AuxValues:
         )
 
 
-def aux_rhs(a: AuxValues, omega: float) -> AuxValues:
-    """Exact time rates under the rotation laws: dA+- = -+(w/2) A-+, etc."""
-    w = 0.5 * omega
-    return AuxValues(
-        -w * a.a_minus, w * a.a_plus, -3.0 * w * a.d_minus, 3.0 * w * a.d_plus
-    )
-
-
 def aux_generator(omega: float) -> np.ndarray:
     """Generator of the rotation laws on (A+, A-, D+, D-): (A+, A-) rotate at
     omega/2 and (D+, D-) at 3 omega/2: M and 3 M, with M = ``m_matrix``."""
@@ -316,9 +306,9 @@ def aux_generator(omega: float) -> np.ndarray:
 
 def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> AuxValues:
     """Rotation-law residuals (G(A)+, G(A)-, G(D)+, G(D)-) of an arbitrary
-    (values, rates) pair: aux_dot - aux_rhs(aux)."""
+    (values, rates) pair: aux_dot - R aux, with R = ``aux_generator(omega)``."""
     return AuxValues(
-        *np.subtract(astuple(aux_dot), astuple(aux_rhs(aux, omega)))
+        *np.subtract(astuple(aux_dot), aux_generator(omega) @ astuple(aux))
     )
 
 

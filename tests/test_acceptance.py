@@ -17,7 +17,6 @@ from operadlax import (
     StructureConstants2,
     aux_algebraic,
     aux_exact_flow,
-    aux_rhs,
     bracket,
     cli,
     closed_form_mu,
@@ -31,8 +30,6 @@ from operadlax import (
     hamiltonian,
     jacobi_residual,
     lax_matrices,
-    lax_rhs_bracket,
-    lax_rhs_explicit,
     lax_rhs_index,
     m_matrix,
     pde_residual,
@@ -41,6 +38,7 @@ from operadlax import (
     verify_lax_representation,
 )
 from operadlax.operadic_lax import closed_form_path
+from reference_rhs import aux_rhs, lax_rhs_bracket, lax_rhs_explicit
 
 CANONICAL = OscState(0.0, 2.0, 1.0)
 TWO_PI = 2.0 * math.pi

@@ -21,12 +21,12 @@ from operadlax import (
     frobenius_norm,
     identity_op,
     jacobi_residual,
-    lax_rhs_bracket,
     linear_comb,
     partial_compose,
     total_compose,
     unit_residual,
 )
+from reference_rhs import lax_rhs_bracket
 
 MU111 = Operation(2, 2, [1, 0, 0, 0, 0, 0, 0, 0])
 ROT = Operation(2, 1, [0, -1, 1, 0])  # Me1 = e2, Me2 = -e1

@@ -17,7 +17,6 @@ from operadlax import (
     StructureConstants2,
     aux_algebraic,
     aux_exact_flow,
-    aux_rhs,
     classical_lax_residual,
     closed_form_mu,
     g_residuals,
@@ -25,13 +24,12 @@ from operadlax import (
     g_values,
     grid_lax_residual,
     hamiltonian,
-    lax_rhs_bracket,
-    lax_rhs_explicit,
     lax_rhs_index,
     m_matrix,
     pde_residual,
     verify_lax_representation,
 )
+from reference_rhs import aux_rhs, lax_rhs_bracket, lax_rhs_explicit
 
 CANONICAL = OscState(0.0, 2.0, 1.0)
 

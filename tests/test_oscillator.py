@@ -15,23 +15,20 @@ from operadlax import (
     aux_algebraic,
     aux_exact_flow,
     aux_generator,
-    aux_rhs,
     classical_lax_residual,
     exact_flow,
     g_residuals,
     g_residuals_along,
+    g_values,
     hamilton_generator,
-    hamilton_rhs,
     hamiltonian,
     lax_generator,
     lax_matrices,
-    lax_rhs_bracket,
-    lax_rhs_explicit,
     m_matrix,
     rk4_linear_path,
     rk4_path,
 )
-from operadlax.operadic_lax import _explicit_rhs
+from reference_rhs import _explicit_rhs, aux_rhs, hamilton_rhs, lax_rhs_bracket, lax_rhs_explicit
 
 
 def rk4_integrate(s0, t_end, steps):
@@ -134,8 +131,15 @@ def test_rk4_path_blowup_reports_step():
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
 def test_aux_generator_rejects_bad_omega(omega):
-    with pytest.raises(ValueError, match="omega"):
-        aux_generator(omega)
+    # g_values and g_residuals_along apply the generator, so they refuse too
+    a = AuxValues(1.0, -0.5, 0.25, 2.0)
+    for call in (
+        lambda: aux_generator(omega),
+        lambda: g_values(a, a, omega),
+        lambda: g_residuals_along(lambda t: aux_exact_flow(a, 1.0, t), omega, 0.3),
+    ):
+        with pytest.raises(ValueError, match="omega"):
+            call()
 
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])

@@ -1,0 +1,54 @@
+"""Property tests: the generator routes against the hand-expanded oracles,
+over omega in [1e-3, 1e3] and amplitudes across 200 decades."""
+
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from operadlax import AuxValues, g_values, grid_lax_residual, lax_generator  # noqa: E402
+from reference_rhs import _explicit_rhs, aux_rhs  # noqa: E402
+
+# on a failure hypothesis imports libcst to print an @example patch, and
+# libcst warns through mypy_extensions; let that report the failure
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+)
+
+EPS = np.finfo(float).eps
+
+omegas = st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)
+amplitudes = st.floats(-100.0, 100.0).map(lambda x: 10.0 ** x)
+# entries of [-1, 1] that stay normal once scaled by an amplitude
+units = st.one_of(st.just(0.0), st.floats(1e-20, 1.0), st.floats(-1.0, -1e-20))
+rows = st.tuples(amplitudes, st.lists(units, min_size=8, max_size=8)).map(
+    lambda r: r[0] * np.array(r[1])
+)
+quads = st.tuples(amplitudes, st.lists(units, min_size=4, max_size=4)).map(
+    lambda r: AuxValues(*(r[0] * np.array(r[1])))
+)
+
+properties = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@properties
+@given(omega=omegas, x=rows, y=rows)
+def test_grid_lax_residual_matches_eight_ode_reference(omega, x, y):
+    # the right-hand side grid_lax_residual subtracts, entry by entry
+    bound = 4.0 * EPS * omega * np.abs(x).max()
+    assert (np.abs(x @ lax_generator(omega).T - _explicit_rhs(x, omega)) <= bound).all()
+    # samples (0, x, 2y) with dt = 1/2: the middle row's d(mu)/dt is 2y exactly
+    want = np.linalg.norm(2.0 * y - _explicit_rhs(x, omega))
+    got = grid_lax_residual(np.array([np.zeros(8), x, 2.0 * y]), 0.5, omega)[1]
+    assert abs(got - want) <= np.sqrt(8.0) * bound + 8.0 * EPS * want
+
+
+@properties
+@given(omega=omegas, aux=quads, aux_dot=quads)
+def test_g_values_matches_reference(omega, aux, aux_dot):
+    want = np.subtract(astuple(aux_dot), astuple(aux_rhs(aux, omega)))
+    np.testing.assert_array_equal(astuple(g_values(aux, aux_dot, omega)), want)
