@@ -1,32 +1,63 @@
-"""``"%.17g" % x`` for a float64 table, vectorised and byte for byte.
+"""Float64 tables as ``"%.17g" % x`` (CSV) or ``repr(x)`` (JSON) text,
+vectorised and byte for byte.
 
-For each value ``x`` with ``|x|`` in [1e-280, 1e280]:
+Both formats share one scaling.  For each value ``x`` with ``|x|`` in
+[1e-280, 1e280]:
 
 * ``k = floor(log10|x|)`` estimates the decimal exponent;
 * ``N = |x| * 10^(16-k)`` is taken in double-double: ``10^(16-k)`` is a
   pair ``hi + lo`` of correctly rounded doubles (relative error below
   2^-106), and a Dekker TwoProduct gives ``|x|*hi = P + err`` exactly, so
   ``N = P + t`` with ``t = fl(err + fl(|x|*lo))`` is within 1e-14 of the
-  exact scaled value;
-* ``P >= 2^53`` is an integer, so the 17-digit integer ``D = round(N)`` is
-  ``P`` plus ``t`` rounded to nearest, which that bound decides whenever
-  ``t``'s fraction is more than 1e-6 away from one half;
-* ``D`` in (1e16, 1e17) confirms ``k``; its digits and ``k`` are laid out
-  in fixed byte slots, masked, and compacted.
+  exact scaled value, and equal to it where ``lo = 0`` (k in [-6, 16]);
+* ``P >= 2^53`` is an integer, so ``N = W + f`` with the int64 ``W`` and
+  ``f`` in [0, 1), and the 17-digit integer ``D = round(N)`` is decided
+  whenever ``f`` is more than 1e-6 (the guard) away from one half;
+* ``D`` in (1e16, 1e17) confirms ``k``.
 
-``"%.17g" %`` itself formats, one at a time, every value outside that
-range (subnormals, non-finite values), every value within 1e-6 of a
-rounding tie (exact ties, which round half to even, among them), and
-every value whose ``D`` misses (1e16, 1e17): a ``log10`` estimate one too
-low gives ``D >= 1e17``, one too high ``D <= 1e16`` (``1e16`` itself is
-ambiguous: a double just below ``10^k`` rounds to it at the wrong
-``k``), and rounding up into the next decade gives ``1e17``.  ``0.0``
-and ``-0.0`` take the vectorised path.
+``%.17g`` prints ``D``.  ``repr`` prints the shortest digits that read
+back as ``x``, the nearest of them to ``x``.  The reals that read back as
+``x`` are ``N +- u`` in the same scale, ``u = 2^(e-54) * 10^(16-k)`` for
+``|x| = m * 2^e`` with ``m`` in [1/2, 1) (``hi`` gives ``10^(16-k)``), an
+interval closed for an even mantissa, where reading rounds half to even.
+``u / N`` lies in (2^-54, 2^-53], so ``u`` is in (0.55, 11.2) and ``D``
+always lies inside.  The nearest multiple of 10 to ``N`` gives 16 digits
+when it lies inside; the interval, under 23 wide, holds at most one
+multiple of 100, which, when inside, is also the only multiple of
+``10^j`` inside for every ``j > 2``, so its digits, trailing zeros
+dropped, are ``repr``'s.  A candidate ``c`` lies inside when the margin
+``u - |c - N|`` is positive, or zero for an even mantissa.
+
+The margin is exact where ``N`` is: where ``lo = 0``, ``u - |c - W|`` is a
+multiple of ``u``'s ulp, so ``(u - |c - W|) -+ f`` has an exact sign;
+and at k in [17, 22], where ``|x| < 1e23`` is an integer and
+``10^(k-16)`` a double, ``N * 10^(k-16)`` is ``|x|`` itself, so ``f`` is
+taken exactly as ``fmod(|x|, 10^(k-16))``, ``W`` corrected by one where
+``t`` fell on the other side of an integer, and the margins are integers
+in that unit.  There ties round half to even, as ``repr`` rounds them.
+
+Both formats lay the digits out in fixed byte slots, masked by notation
+(fixed for -4 <= k < 17 in ``%.17g``, for -4 <= k < 16 in ``repr``,
+which also writes ``.0`` after an integer) and last nonzero digit, each
+field after the bytes that come before it in the text, and compact the
+NULs away.
+
+``%`` itself formats, one value at a time, every value outside
+[1e-280, 1e280] (subnormals, non-finite values) and every value whose
+``D`` misses (1e16, 1e17), which a ``log10`` estimate one off or rounding
+up into the next decade gives.  For ``%.17g`` it also takes every ``D``
+within the guard of a tie, and ``D = 1e16``, ambiguous at the wrong ``k``
+(a double just below ``10^k`` rounds to it there), and ``0.0`` and
+``-0.0``.  For ``repr``, whose digits for ``D = 1e16`` are ``1e{k}`` at
+either ``k``, it also takes a power-of-two mantissa (the interval below
+``x`` is half as wide) and, where ``N`` is not exact, a margin within the
+guard of zero or a candidate within the guard of a tie.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,14 +70,18 @@ K_MIN, K_MAX = -281, 280  # floor(log10|x|) over that range, log10 rounding incl
 SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
 TIE_GUARD = 1e-6
 DIGITS = 17
+FRACTION_BITS = np.uint64(2**52 - 1)
+# |x| < 1e23 at k > 16 is an integer and 10^(k-16) a double: there N in
+# units of 10^(16-k) is |x| itself
+K_INTEGER = 22
 
-# byte slots of one field, as six uint64 words:
-#   0     ',' or '\n' (the separator before the field), '-' or NUL, "0.000", d0
+# byte slots of one field, as six uint64 words, after the words holding
+# all but the last byte of the text before it:
+#   0     the last byte before the field, '-' or NUL, "0.000", d0
 #   1-4   ".d.d.d.d": a point slot before each of d1 ... d16
-#   5     "e+XX" or "e-XXX", or NUL in fixed notation
+#   5     "e+XX" or "e-XXX", kept in scientific notation only
 WORDS = 6
 EXP = 5
-NOTATIONS = [*range(-4, 17), None]  # fixed notation at each k, then scientific
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,9 +96,10 @@ def _field_mask(k: int | None, last: int) -> bytes:
     ``k`` (None: scientific notation) when ``d_last`` is the last nonzero
     digit."""
     keep = bytearray(8 * WORDS)
-    keep[:2] = b"\xff\xff"  # separator and sign
+    keep[:2] = b"\xff\xff"  # the byte before the field, and the sign
     keep[7] = 0xFF  # d0
-    keep[8 * EXP:] = b"\xff" * 8  # the exponent, all NUL in fixed notation
+    if k is None:
+        keep[8 * EXP:] = b"\xff" * 8
     if k is not None and k < 0:  # "0." and -k-1 zeros come before d0
         keep[2:3 - k] = b"\xff" * (1 - k)
         first = 1
@@ -74,12 +110,6 @@ def _field_mask(k: int | None, last: int) -> bytes:
     for i in range(1, max(first - 1, last) + 1):
         keep[7 + 2 * i] = 0xFF
     return bytes(keep)
-
-
-def _exponent(k: int) -> bytes:
-    """Word 5 for decimal exponent ``k``."""
-    text = b"" if -4 <= k < 17 else b"e%+03d" % k
-    return text.ljust(8, b"\0")
 
 
 def _power(e: int) -> tuple[float, float]:
@@ -97,11 +127,24 @@ def _u64(chunks) -> np.ndarray:
     return np.frombuffer(b"".join(chunks), dtype=np.uint64)
 
 
+def _notation(top: int, point: bool) -> SimpleNamespace:
+    """Mask rows for fixed notation at -4 <= k < ``top`` and scientific
+    notation elsewhere, one per (notation, last nonzero digit); ``point``:
+    an integer in fixed notation ends in ``.0``."""
+    notations = [*range(-4, top), None]
+    masks = _u64(_field_mask(k, last if k is None or not point else max(last, k + 1))
+                 for k in notations for last in range(DIGITS))
+    index = [k + 4 if -4 <= k < top else len(notations) - 1 for k in range(K_MIN, K_MAX + 1)]
+    return SimpleNamespace(masks=masks.reshape(-1, WORDS),
+                           mask_row=DIGITS * np.array(index, dtype=np.intp))
+
+
 @functools.cache
 def _tables() -> SimpleNamespace:
     """Lookup tables, built on first use."""
     ks = range(K_MIN, K_MAX + 1)
     hi, lo = map(np.array, zip(*(_power(16 - k) for k in ks)))
+    unit = np.array([float(10 ** (k - 16)) if 16 < k <= K_INTEGER else 1.0 for k in ks])
 
     groups = np.arange(10000)
     chars = np.full((10000, 8), ord("."), dtype=np.uint8)
@@ -110,24 +153,25 @@ def _tables() -> SimpleNamespace:
     # last nonzero digit, or 0 when all four are zero
     ends = 4 - (groups % 10 == 0) - (groups % 100 == 0) - (groups % 1000 == 0)
     last_digit = [np.where(groups > 0, j + ends - 1, 0).astype(np.uint8) for j in (1, 5, 9, 13)]
-    notation = [k + 4 if -4 <= k < 17 else len(NOTATIONS) - 1 for k in ks]
     return SimpleNamespace(
         hi=hi, lo=lo, hi_split=_split(hi),
+        # no guard where N is exact, in units of 1 (lo = 0) or of 1 / unit
+        guard=np.where((lo == 0.0) | (unit > 1.0), 0.0, TIE_GUARD),
+        unit=unit, half_ulp=np.where(unit > 1.0, 1.0, hi),  # u / 2^(e-54), in those units
         head=_u64(b"\0" + sign + b"0.000%d" % d0 for sign in (b"\0", b"-") for d0 in range(10)),
         digits=chars.view(np.uint64).ravel(), last_digit=last_digit,
-        masks=_u64(_field_mask(k, last) for k in NOTATIONS for last in range(DIGITS)).reshape(-1, WORDS),
-        mask_row=DIGITS * np.array(notation, dtype=np.intp),
-        exponent=_u64(_exponent(k) for k in ks),
+        exponent=_u64((b"e%+03d" % k).ljust(8, b"\0") for k in ks),
+        csv=SimpleNamespace(decide=_decimal, template=b"%.17g", **vars(_notation(17, False))),
+        json=SimpleNamespace(decide=_shortest, template=b"%r", **vars(_notation(16, True))),
     )
 
 
-def _decimal(x: np.ndarray, tab: SimpleNamespace):
-    """``(d, kidx, slow)`` for the flat array ``x``: ``|x|`` rounded to the
-    17-digit integer ``d`` times ``10^(k-16)``, with ``k = kidx + K_MIN``,
-    exact wherever ``slow`` is false; ``d = 0`` for zeros (at ``k = 0``)
-    and wherever ``slow`` is true."""
+def _scaled(x: np.ndarray, tab: SimpleNamespace):
+    """``(kidx, w, f, fast)`` for the flat array ``x``: ``|x| * 10^(16-k)
+    = w + f`` with ``k = kidx + K_MIN``, the int64 ``w`` and ``f`` in
+    [0, 1), wherever ``fast`` (``|x|`` in [LO_LIMIT, HI_LIMIT]) is true;
+    ``k = 0`` elsewhere."""
     a = np.abs(x)
-    zero = a == 0.0
     fast = (a >= LO_LIMIT) & (a <= HI_LIMIT)
     a = np.where(fast, a, 1.0)
     kidx = np.floor(np.log10(a)).astype(np.intp)
@@ -146,8 +190,18 @@ def _decimal(x: np.ndarray, tab: SimpleNamespace):
     t += a * np.take(tab.lo, kidx)
     whole = np.floor(t)
     t -= whole
-    d = p.astype(np.int64)
-    d += whole.astype(np.int64)
+    w = p.astype(np.int64)
+    w += whole.astype(np.int64)
+    return kidx, w, t, fast
+
+
+def _decimal(x: np.ndarray, tab: SimpleNamespace):
+    """``(d, kidx, slow)`` for the flat array ``x``: ``|x|`` rounded to the
+    17-digit integer ``d`` times ``10^(k-16)``, with ``k = kidx + K_MIN``,
+    exact wherever ``slow`` is false; ``d = 0`` for zeros (at ``k = 0``)
+    and wherever ``slow`` is true."""
+    kidx, d, t, fast = _scaled(x, tab)
+    zero = x == 0.0
     d += t > 0.5
     t -= 0.5
     slow = (np.abs(t) < TIE_GUARD) | (d <= 10**16) | (d >= 10**17) | ~(fast | zero)
@@ -155,10 +209,73 @@ def _decimal(x: np.ndarray, tab: SimpleNamespace):
     return d, kidx, slow
 
 
-def _block(x: np.ndarray, sep: np.ndarray, tab: SimpleNamespace) -> bytes:
-    """The fields of the flat row-major block ``x``, each preceded by its
-    separator byte in ``sep`` (a comma, or a newline at the start of a row)."""
-    d, kidx, slow = _decimal(x, tab)
+def _nearest(w, f, u, even, unit, scale: int):
+    """The multiple ``c`` of ``scale`` nearest ``N = w + f / unit`` (the
+    even one of two at a tie), the offset ``N - c - f / unit``, and
+    ``(u - |c - N|) * unit``, the margin by which ``c`` lies inside the
+    rounding interval ``N +- u / unit`` (closed for an ``even`` mantissa):
+    ``(c, offset, margin, inside)``.  The margin's sign is exact where
+    ``u`` and ``f`` are: ``u - |offset| * unit`` is then a multiple of
+    ``u``'s ulp, or an integer."""
+    q = w // scale
+    rem = w - q * scale
+    up = rem + ((q & 1) | (f > 0.0)) > scale // 2
+    offset = rem - up * scale  # >= 0 for c below N, <= -1 above it
+    margin = u - np.abs(offset) * unit
+    margin -= (1.0 - 2.0 * up) * f
+    return w - offset, offset, margin, (margin > 0.0) | ((margin == 0.0) & even)
+
+
+def _shortest(x: np.ndarray, tab: SimpleNamespace):
+    """``(d, kidx, slow)`` as ``_decimal`` gives them, with ``d`` the
+    shortest digits that read back as ``x``, nearest ``|x|``, padded with
+    zeros to 17 digits (``repr``'s digits, at ``k = kidx + K_MIN``);
+    ``0.0`` and ``-0.0`` are not slow."""
+    kidx, w, f, fast = _scaled(x, tab)
+    unit = np.take(tab.unit, kidx)
+    big = np.flatnonzero(unit > 1.0)
+    if big.size:  # the exact fraction, in units of 10^(16-k): |x| mod 10^(k-16)
+        rest = np.fmod(np.abs(x[big]), unit[big])
+        w[big] += np.rint(f[big] - rest / unit[big]).astype(np.int64)
+        f[big] = rest
+    half = 0.5 * unit
+    d = w + ((f > half) | ((f == half) & w & 1))  # half to even
+    bits = x.view(np.uint64)
+    live = fast & ((bits & FRACTION_BITS) != 0) & (d >= 10**16) & (d < 10**17)
+    guard = np.take(tab.guard, kidx)
+    tie = np.abs(f - half) < guard  # near a tie between two 17-digit candidates
+    u = np.ldexp(np.take(tab.half_ulp, kidx), np.frexp(x)[1] - 54)
+    even = (bits & np.uint64(1)) == 0
+
+    # 16 digits: of up to three multiples of 10 inside, the nearest
+    c, offset, margin, inside = _nearest(w, f, u, even, unit, 10)
+    unsure = np.abs(margin) < guard
+    keep = inside & ~unsure
+    d += keep * (c - d)
+    tie = (tie & ~keep) | (keep & (np.abs(np.abs(offset + f) - 5.0) < guard))  # never if exact
+    # 15 digits or fewer: the interval, under 23 wide, holds at most one
+    # multiple of 100, which is also the only multiple of 10^j inside for j > 2
+    c, _, margin, inside = _nearest(w, f, u, even, unit, 100)
+    near = np.abs(margin) < guard
+    unsure |= keep & near
+    keep &= inside & ~near
+    d += keep * (c - d)
+    tie &= ~keep
+
+    # rounding up into the next decade: 10^17 at k is 10^16 at k + 1
+    top = live & (d == 10**17)
+    d[top] = 10**16
+    kidx[top] += 1
+    zero = x == 0.0
+    slow = (tie | unsure | ~live) & ~zero
+    d[slow | zero] = 0
+    return d, kidx, slow
+
+
+def _block(x: np.ndarray, layout: SimpleNamespace, tab: SimpleNamespace) -> bytes:
+    """The fields of the flat row-major block ``x``, each after the text
+    that comes before it, as ``layout`` gives them."""
+    d, kidx, slow = layout.decide(x, tab)
     # d's digits as groups g0 = d0, g1 = d1..d4, g2 = d5..d8, g3, g4
     upper = (d // 10**8).astype(np.uint32)
     lower = (d - upper.astype(np.int64) * 10**8).astype(np.uint32)
@@ -169,42 +286,75 @@ def _block(x: np.ndarray, sep: np.ndarray, tab: SimpleNamespace) -> bytes:
     g3 = lower // 10**4
     g4 = lower - g3 * 10**4
 
-    buf = np.empty((x.size, WORDS), dtype=np.uint64)
-    g0 += np.signbit(x) * np.uint32(10)  # the head table's second half has '-'
-    np.bitwise_or(np.take(tab.head, g0), sep, out=buf[:, 0])
-    for word, group in enumerate((g1, g2, g3, g4), 1):
+    digits = layout.width + 1  # the word of d1..d4
+    buf = np.empty((x.size, digits + WORDS - 1), dtype=np.uint64)
+    g0 += np.signbit(x) * np.uint32(10)  # the second ten of each column's heads have '-'
+    g0 += layout.column[:x.size]
+    buf[:, :digits] = np.take(layout.heads, g0, axis=0)
+    for word, group in enumerate((g1, g2, g3, g4), digits):
         buf[:, word] = np.take(tab.digits, group)
-    buf[:, EXP] = np.take(tab.exponent, kidx)
+    buf[:, -1] = np.take(tab.exponent, kidx)
     last = np.maximum(np.take(tab.last_digit[0], g1), np.take(tab.last_digit[1], g2))
     np.maximum(last, np.take(tab.last_digit[2], g3), out=last)
     np.maximum(last, np.take(tab.last_digit[3], g4), out=last)
-    # clear the slots %g leaves out at this notation and last nonzero digit
-    row = np.take(tab.mask_row, kidx)
+    # clear the slots the format leaves out at this notation and last nonzero digit
+    row = np.take(layout.mask_row, kidx)
     row += last
-    buf &= np.take(tab.masks, row, axis=0)
+    buf &= np.take(layout.masks, row, axis=0)
 
     chars = buf.view(np.uint8)
-    for i in np.flatnonzero(slow).tolist():  # %'s bytes follow the separator
-        text = b"%.17g" % x[i]
-        chars[i, 1:] = 0
-        chars[i, 1:1 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+    start = 8 * layout.width + 1
+    for i in np.flatnonzero(slow).tolist():  # %'s bytes follow the byte before
+        text = layout.template % float(x[i])
+        chars[i, start:] = 0
+        chars[i, start:start + len(text)] = np.frombuffer(text, dtype=np.uint8)
     return chars.tobytes().translate(None, b"\0")
+
+
+def _format(table: np.ndarray, before: list[bytes], first: bytes, end: bytes,
+            style: SimpleNamespace) -> str:
+    """The fields of the 2-d float table in ``style``, each after
+    ``before[column]`` (``first`` in place of ``before[0]`` in the first
+    row), then ``end``."""
+    tab = _tables()
+    rows, columns = table.shape
+    if not rows:
+        return ""
+    # per column, sign and d0: all but the last byte of the text before the
+    # field in whole words, NUL-padded, then the field's word 0 with that byte
+    width = -(-max(len(b) - 1 for b in before) // 8)
+    text = np.frombuffer(b"".join(b[:-1].ljust(8 * width, b"\0") for b in before),
+                         dtype=np.uint64).reshape(columns, 1, width)
+    sep = np.array([b[-1] for b in before], dtype=np.uint64).reshape(columns, 1, 1)
+    heads = np.concatenate([np.broadcast_to(text, (columns, 20, width)),
+                            tab.head[None, :, None] | sep], axis=2)
+    ones = np.full((len(style.masks), width), 2**64 - 1, dtype=np.uint64)
+    layout = SimpleNamespace(
+        **{**vars(style), "masks": np.hstack([ones, style.masks])},
+        width=width, heads=heads.reshape(20 * columns, width + 1),
+        column=np.tile(np.arange(0, 20 * columns, 20, dtype=np.uint32), min(rows, BLOCK_ROWS)),
+    )
+    flat = np.ascontiguousarray(table, dtype=np.float64).reshape(-1)
+    step = BLOCK_ROWS * columns
+    # each block's bytes are freed once decoded: the text is held twice at most
+    blocks = [_block(flat[i:i + step], layout, tab).decode("ascii")
+              for i in range(0, flat.size, step)]
+    blocks[0] = first.decode("ascii") + blocks[0][len(before[0]):]
+    blocks.append(end.decode("ascii"))
+    return "".join(blocks)
 
 
 def format_rows(table: np.ndarray) -> str:
     """Each row of the 2-d float table as ``"%.17g"`` fields joined by
     commas and ended by a newline, byte for byte as ``%`` writes them."""
-    tab = _tables()
-    rows, columns = table.shape
-    flat = np.ascontiguousarray(table, dtype=np.float64).reshape(-1)
-    step = BLOCK_ROWS * columns
-    sep = np.tile(np.array([ord("\n")] + [ord(",")] * (columns - 1), dtype=np.uint64),
-                  min(rows, BLOCK_ROWS))
-    blocks = [_block(flat[i:i + step], sep[:flat.size - i], tab)
-              for i in range(0, flat.size, step)]
-    if not blocks:
-        return ""
-    # each field carries its separator in front: the first newline moves to the end
-    blocks[0] = blocks[0][1:]
-    blocks.append(b"\n")
-    return b"".join(blocks).decode("ascii")
+    before = [b"\n"] + [b","] * (table.shape[1] - 1)
+    return _format(table, before, b"", b"\n", _tables().csv)
+
+
+def format_json(table: np.ndarray, names: list[str]) -> str:
+    """``json.dumps(rows, indent=2) + "\\n"`` for the rows of the 2-d
+    finite float table as objects keyed by ``names``, byte for byte."""
+    keys = [json.dumps(name).encode() for name in names]
+    before = [b"\n  },\n  {\n    %s: " % keys[0]] + [b",\n    %s: " % key for key in keys[1:]]
+    text = _format(table, before, b"[\n  {\n    %s: " % keys[0], b"\n  }\n]\n", _tables().json)
+    return text or "[]\n"

@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from ._g17 import format_rows
+from ._g17 import format_json, format_rows
 from .multilinear import Operation, frobenius_norm
 from .operad import (
     antisymmetry_residual,
@@ -261,17 +261,17 @@ def _format_table(table: np.ndarray, fmt: str) -> str:
     """The finite sample table as CSV (``%.17g``) or as ``json.dumps(rows,
     indent=2)`` of one object per row, byte for byte.
 
-    CSV runs through a vectorised ``%.17g`` kernel (``format_rows``) that
-    hands the values it cannot decide exactly back to ``%``; JSON fills one
-    ``%`` template per table, ``%r`` per value, which is ``float.__repr__``,
-    what ``json`` writes for a finite float.
+    Both run through vectorised kernels in ``_g17``: CSV prints each value's
+    17-digit rounding, JSON the shortest digits that read back as the value
+    (``float.__repr__``, what ``json`` writes for a finite float), found
+    from the half-ulp rounding interval in the same double-double scale.
+    Each hands the values it cannot decide exactly (within a guard of a
+    tie or of the interval's edge, or outside the range its scaling
+    covers) back to ``%``, as ``%.17g`` or ``%r``, one at a time.
     """
     if fmt == "csv":
         return CSV_HEADER + "\n" + format_rows(table)
-    values = tuple(table.ravel().tolist())
-    members = ",\n".join(f'    "{name}": %r' for name in CSV_HEADER.split(","))
-    row = "  {\n" + members + "\n  }"
-    return "[\n" + ",\n".join([row] * len(table)) % values + "\n]\n"
+    return format_json(table, CSV_HEADER.split(","))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import astuple
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -265,6 +266,93 @@ def test_csv_kernel_decides_all_but_near_ties_exactly():
             assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 1e-6
         else:
             assert (digits, k + _g17.K_MIN) == (int(mantissa.replace(".", "")), int(exponent))
+
+
+def repr_edge_values(rng):
+    """Doubles at the edges of the vectorised shortest-repr kernel: repr's
+    notation switch, powers of two (whose interval below is half as wide),
+    short decimals, integers whose rounding interval ends exactly on a
+    multiple of 10 (even and odd mantissas), and integers above 1e17 whose
+    scaled value is an integer too."""
+    switch = np.array([1e16, 9999999999999998.0, 1e15 + 0.5, 1e-4, 1e-5])
+    twos = np.ldexp(1.0, np.arange(-1000, 1001))
+    near = np.concatenate([switch, twos])
+    short = np.array([0.1, 0.5, 2.0, 100.0, 1.0, 10.0, 1e15, 123456.0, 0.001, 1e-3 + 1e-4])
+    # x = 10c + 2h: x - 2h = 10c, with half-ulp h = 2 in [2^54, 2^55) and 4 in
+    # [2^55, 2^56), and x a multiple of the ulp 2h
+    edges = []
+    for low, half in ((2**54, 2), (2**55, 4)):
+        c = rng.integers(low // 10 + 1, 2 * low // 10 - 1, 2000)
+        x = 10 * c + 2 * half
+        edges.append(x[x % (2 * half) == 0].astype(np.float64))
+    # integers at k = 17 ... 22 that are multiples of 10^(k-16), where the
+    # scaled |x| * 10^(16-k) is an integer too
+    for k in range(17, 23):
+        ulp = 2 ** ((2 * 10**k).bit_length() - 53)
+        step = ulp * 10 ** (k - 16) // math.gcd(ulp, 10 ** (k - 16))
+        edges.append(np.array([float(int(c) * step) for c in
+                               rng.integers(10**k // step + 1, 2 * 10**k // step, 500)]))
+    return np.concatenate([
+        near, -near, np.nextafter(near, 0.0), np.nextafter(near, np.inf),
+        short, -short, np.round(rng.standard_normal(2000), 3), *edges,
+    ])
+
+
+def test_json_kernel_matches_json_dumps():
+    rng = np.random.default_rng(2027)
+    values = np.concatenate([g17_edge_values(rng), repr_edge_values(rng)])
+    values = np.resize(values, (-(-values.size // 17), 17))
+    for table in (values, values[:1], values[-3:]):
+        got, want = (text.split("\n") for text in
+                     (cli._format_table(table, "json"), reference_json(table)))
+        # the differing rows, not a diff of megabytes
+        assert len(got) == len(want) and not [(g, w) for g, w in zip(got, want) if g != w]
+
+
+def repr_digits(value):
+    """repr's significant digits of |value| as an integer, and the decimal
+    exponent of the first."""
+    _, digits, exponent = Decimal(repr(abs(value))).normalize().as_tuple()
+    return int("".join(map(str, digits))), exponent + len(digits) - 1
+
+
+def test_json_kernel_decides_all_but_boundary_cases():
+    # the repr fallback alone would also match json: the vectorised path
+    # must find repr's digits for every value it keeps, and hand back only
+    # values with a candidate near the rounding interval's edge or a tie,
+    # or with a power-of-two mantissa
+    rng = np.random.default_rng(8)
+    x = np.concatenate([
+        rng.standard_normal(20_000) * 10.0 ** rng.uniform(-30.0, 30.0, 20_000),
+        np.round(rng.uniform(-1000.0, 1000.0, 5000), 3),
+    ])
+    # and values it must hand back: powers of two, and x in [1e23, 2^77),
+    # beyond exact arithmetic, whose interval ends on a multiple of 10^8,
+    # x = 10^8 * 2^15 * odd + 2^23 with the ulp 2^24
+    odd = 2 * rng.integers(15_300_000_000, 22_900_000_000, 200) + 1
+    boundary = np.concatenate([np.ldexp(1.0, np.arange(-90, 91)),
+                               [float(10**8 * 2**15 * int(m) + 2**23) for m in odd]])
+    d, kidx, slow = _g17._shortest(np.concatenate([x, boundary]), _g17._tables())
+    assert slow[:x.size].mean() < 1e-3 and slow[x.size:].all()
+    for value, digits, k, fallback in zip([*x.tolist(), *boundary.tolist()], d.tolist(),
+                                          kidx.tolist(), slow.tolist()):
+        if not fallback:
+            assert 10**16 <= digits < 10**17
+            assert (int(str(digits).rstrip("0")), k + _g17.K_MIN) == repr_digits(value)
+            continue
+        mantissa, exponent = math.frexp(abs(value))
+        if mantissa == 0.5:
+            continue
+        # N and the half-ulp u in the scale of 17 digits, exactly
+        scale = Fraction(10) ** (16 - repr_digits(value)[1])
+        scaled = Fraction(abs(value)) * scale
+        half_ulp = Fraction(2) ** (exponent - 54) * scale
+        near = []
+        for j in range(3):
+            rest = scaled % 10**j  # the candidates are scaled - rest and + 10^j
+            near += [abs(rest - half_ulp), abs(10**j - rest - half_ulp),
+                     abs(rest - Fraction(10**j, 2))]
+        assert min(near) < _g17.TIE_GUARD
 
 
 def test_simulate_rejects_bad_steps(capsys):

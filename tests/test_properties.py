@@ -1,6 +1,10 @@
 """Property tests: the generator routes against the hand-expanded oracles,
-over omega in [1e-3, 1e3] and amplitudes across 200 decades."""
+over omega in [1e-3, 1e3] and amplitudes across 200 decades, and simulate's
+JSON table against ``json.dumps`` for any finite doubles."""
 
+import json
+import math
+import struct
 from dataclasses import astuple
 
 import numpy as np
@@ -10,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from operadlax import AuxValues, g_values, grid_lax_residual, lax_generator  # noqa: E402
+from operadlax import AuxValues, cli, g_values, grid_lax_residual, lax_generator  # noqa: E402
 from reference_rhs import _explicit_rhs, aux_rhs  # noqa: E402
 
 # on a failure hypothesis imports libcst to print an @example patch, and
@@ -52,3 +56,22 @@ def test_grid_lax_residual_matches_eight_ode_reference(omega, x, y):
 def test_g_values_matches_reference(omega, aux, aux_dot):
     want = np.subtract(astuple(aux_dot), astuple(aux_rhs(aux, omega)))
     np.testing.assert_array_equal(astuple(g_values(aux, aux_dot, omega)), want)
+
+
+# any finite double: drawn as a float, and as a raw bit pattern, which
+# reaches every exponent and mantissa alike
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+    .filter(math.isfinite),
+)
+tables = st.integers(1, 4).flatmap(lambda n: st.lists(finite, min_size=17 * n, max_size=17 * n))
+
+
+@properties
+@given(values=tables)
+def test_json_table_matches_json_dumps(values):
+    table = np.array(values).reshape(-1, 17)
+    names = cli.CSV_HEADER.split(",")
+    rows = [dict(zip(names, row)) for row in table.tolist()]
+    assert cli._format_table(table, "json") == json.dumps(rows, indent=2) + "\n"

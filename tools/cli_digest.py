@@ -67,6 +67,13 @@ EDGE_CONFIGS = [
     # (about 1e-291), and then q, p and every column derived from them
     {"omega": 1.0, "q0": 0.3, "p0": 0.2, "t_end": 1e-290, "steps": 10, "seed": 15},
     {"omega": 3.0, "q0": 1e-290, "p0": -2e-290, "t_end": 2.0, "steps": 50, "seed": 16},
+    # JSON's shortest-repr kernel: t crosses 1e16, where repr turns to
+    # exponent notation and %.17g does not, and q holds integers near it;
+    # then short reprs (t in steps of 1/8, q0, p0, H), powers of two among them
+    {"omega": 1e-16, "q0": 0.5, "p0": -1.5, "t_end": 3e16, "steps": 6,
+     "c": [0.5, -0.25, 1.0, 0.0, -0.75, 0.125, 0.0, 0.0]},
+    {"omega": 2.0, "q0": 0.5, "p0": -0.25, "t_end": 1.0, "steps": 8,
+     "c": [0.5, -0.25, 0.75, 0.0, -1.0, 0.125, 0.25, -0.5]},
 ]
 
 

@@ -4,9 +4,9 @@ Times ``cli._format_table`` alone, CSV and JSON, on the exact-integrator
 sample tables of a 1000-step and a 20000-step ``simulate`` run (17 values
 per row), after one untimed call per format, which builds whatever the
 formatter builds on first use.  Each figure is the best of several runs.
-JSON runs first at each size: right after a large CSV table, the
-allocator's state makes JSON's ``%`` up to twice as slow.
-It uses only names the CLI has had since its sample table and formatter
+JSON runs first at each size, the order of the figures taken before JSON
+had its own kernel, when its ``%`` template ran up to twice as slow right
+after a large CSV table.  It uses only names the CLI has had since its sample table and formatter
 were split, so it runs on older trees too:
 
     PYTHONPATH=src python tools/format_timing.py
