@@ -44,14 +44,16 @@ NULs away.
 
 ``%`` itself formats, one value at a time, every value outside
 [1e-280, 1e280] (subnormals, non-finite values) and every value whose
-``D`` misses (1e16, 1e17), which a ``log10`` estimate one off or rounding
+``D`` misses [1e16, 1e17), which a ``log10`` estimate one off or rounding
 up into the next decade gives.  For ``%.17g`` it also takes every ``D``
-within the guard of a tie, and ``D = 1e16``, ambiguous at the wrong ``k``
-(a double just below ``10^k`` rounds to it there), and ``0.0`` and
-``-0.0``.  For ``repr``, whose digits for ``D = 1e16`` are ``1e{k}`` at
-either ``k``, it also takes a power-of-two mantissa (the interval below
-``x`` is half as wide) and, where ``N`` is not exact, a margin within the
-guard of zero or a candidate within the guard of a tie.
+within the guard of a tie, and a ``D = 1e16`` that may belong to a double
+just below ``10^k``, where the estimate is one too high: only where
+``10^k`` is no double (k < 0 or k > 22) and ``N`` is below 1e16, or within
+the guard above it where ``N`` is not exact.  Zeros and the powers of ten
+stay vectorised.  For ``repr``, whose digits for ``D = 1e16`` are
+``1e{k}`` at either ``k``, it also takes a power-of-two mantissa (the
+interval below ``x`` is half as wide) and, where ``N`` is not exact, a
+margin within the guard of zero or a candidate within the guard of a tie.
 """
 
 from __future__ import annotations
@@ -204,7 +206,16 @@ def _decimal(x: np.ndarray, tab: SimpleNamespace):
     zero = x == 0.0
     d += t > 0.5
     t -= 0.5
-    slow = (np.abs(t) < TIE_GUARD) | (d <= 10**16) | (d >= 10**17) | ~(fast | zero)
+    slow = (np.abs(t) < TIE_GUARD) | (d < 10**16) | (d >= 10**17) | ~(fast | zero)
+    # D = 1e16 confirms k where |x| is at least 10^k: always where 10^k is a
+    # double (0 <= k <= 22), as every double below it scales to 1e16 - 1.1
+    # or less; elsewhere where N = D + t is at least 1e16, by the guard
+    # unless N is exact (-6 <= k <= 16).  Zeros are scaled as 1.0, at k = 0.
+    ones = np.flatnonzero(d == 10**16)
+    if ones.size:
+        k, above = np.take(kidx, ones) + K_MIN, np.take(t, ones)
+        above = (above <= 0.0) & (((k >= -6) & (k <= 16)) | (above >= TIE_GUARD - 0.5))
+        slow[ones] |= ~(((k >= 0) & (k <= 22)) | above)
     d[slow | zero] = 0
     return d, kidx, slow
 

@@ -40,7 +40,7 @@ from ._g17 import format_json, format_rows
 from .multilinear import Operation, frobenius_norm
 from .operad import (
     antisymmetry_residual,
-    composition_relation_residual,
+    composition_relation_residuals,
     jacobi_residual,
     unit_residual,
 )
@@ -203,10 +203,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     for _ in range(args.trials):
         h, f, g = _random_operations(rng, args.dim_max, args.deg_max, 3)
         scale = 1.0 + frobenius_norm(h) * frobenius_norm(f) * frobenius_norm(g)
-        for i in range(h.degree):
-            for j in range(h.reduced_degree + f.reduced_degree + 1):
-                r = composition_relation_residual(h, f, g, i, j) / scale
-                suites["composition_relations"] = max(suites["composition_relations"], r)
+        for r in composition_relation_residuals(h, f, g):
+            suites["composition_relations"] = max(suites["composition_relations"], r / scale)
         suites["jacobi"] = max(suites["jacobi"], jacobi_residual(f, g, h) / scale)
 
         (u,) = _random_operations(rng, args.dim_max, args.deg_max)

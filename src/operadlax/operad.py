@@ -15,18 +15,31 @@ Gerstenhaber bracket is the graded commutator
 Every axiom of the composition calculus (the three associativity-relation
 cases, the unit laws, graded antisymmetry, the graded Jacobi identity) is
 exposed here as a numerically checkable residual rather than assumed.  All
-signs are computed by integer parity, never floating-point powers.
+signs are computed by integer parity, never floating-point powers, and
+applied by negation or subtraction, so the kernel runs unchanged on integer
+tensors.
 
-All compositions run in one private kernel on raw coefficient tensors.  A
-public function does its kernel work under one ``np.errstate`` and checks
-finiteness once, on its result or on the residual before the norm: every
-operand entry multiplies into some output entry and inf * 0 is NaN, so a
-non-finite intermediate always reaches that final tensor.
+All compositions run in one private kernel on flattened coefficient
+tensors.  It composes a stack of left operands, at every slot of a range,
+with one right operand (or a stack of equal-degree ones) in one matrix
+product.  A cached index plan per (d, degree) gathers the left operands'
+entries, slot axis last, into rows of length d: the operand layout of a
+tensor contraction over that axis.  A cached plan per (d, degrees) then
+takes each output entry from the product; composed tensors of more than
+``_PLANNED_SIZE`` entries are composed one left operand and slot at a time
+and placed through strided views instead, so that no plan and no array is
+large.  Every output entry is therefore the same length-d dot product of
+the same operands as a one-composition call makes, and the signs are
+applied to the placed blocks.  A public function
+does its kernel work under one ``np.errstate`` and checks finiteness once,
+on its result or on each residual before the norm: every operand entry
+multiplies into some output entry and inf * 0 is NaN, so a non-finite
+intermediate always reaches that final tensor.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 
 import numpy as np
 
@@ -37,52 +50,289 @@ __all__ = [
     "total_compose",
     "bracket",
     "composition_relation_residual",
+    "composition_relation_residuals",
     "unit_residual",
     "antisymmetry_residual",
     "jacobi_residual",
 ]
+
+# index plans, built on first use and kept: slot rows per (d, degree),
+# placements per (d, left degree, right degree), and the relation grid's
+# right-hand-side rows per chunk of the grid
+_SLOT_ROWS: dict[tuple[int, ...], np.ndarray] = {}
+_PLACEMENTS: dict[tuple[int, ...], np.ndarray] = {}
+_RELATION_ROWS: dict[tuple[int, ...], np.ndarray] = {}
+
+# the most entries of a composed tensor placed through a plan: the plans of
+# every shape up to degree 3 at d <= 3 then hold about 0.2 MB
+_PLANNED_SIZE = 729
+# the most entries of the arrays that one chunk of the relation grid makes
+_CHUNK_SIZE = 16384
 
 
 def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
-def _compose(fc: np.ndarray, gc: np.ndarray, i: int) -> np.ndarray:
-    """f o_i g on coefficient tensors, as a fresh C-contiguous array: the one
-    np.dot call that numpy's tensor contraction over axes ([i + 1], [0])
-    makes, on the same operands, without its Python-level argument handling."""
-    d, m, n = fc.shape[0], fc.ndim - 1, gc.ndim - 1
-    if gc.shape[0] != d:
-        raise ValueError(f"dim mismatch: {d} vs {gc.shape[0]}")
-    perm_f, perm_out = _perms(m, n, i)
-    res = np.dot(fc.transpose(perm_f).reshape(-1, d), gc.reshape(d, -1))
-    # The product's axes are f's kept axes then g's inputs; slot g's in at i + 1.
-    res = res.reshape((d,) * (m + n)).transpose(perm_out)
-    if _sign(i * (n - 1)) < 0:
-        return np.negative(res, order="C")
-    return np.ascontiguousarray(res)
+def _odd_slots_negated(n: int) -> bool:
+    """Whether the sign (-1)^(i|y|) of o_i with a degree-n right operand y
+    is -1 at the odd slots i (it is +1 at the even ones)."""
+    return _sign(n - 1) < 0
 
 
-@functools.lru_cache(maxsize=None)
-def _perms(m: int, n: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis permutations of _compose for degrees m, n and slot i:
-    f's input axis i + 1 moved last, and the product's axes reordered so
-    that g's n inputs sit at i + 1."""
-    perm_f = (*range(i + 1), *range(i + 2, m + 1), i + 1)
-    perm_out = (*range(i + 1), *range(m, m + n), *range(i + 1, m))
-    return perm_f, perm_out
+def _frozen(plan: list) -> np.ndarray:
+    plan = np.array(plan)
+    plan.setflags(write=False)
+    return plan
 
 
-def _total(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    acc = _compose(fc, gc, 0)
-    for i in range(1, fc.ndim - 1):
-        acc += _compose(fc, gc, i)
+def _slot_rows(d: int, m: int) -> np.ndarray:
+    """Per slot i, the flat positions of a degree-m tensor's entries with
+    input axis i + 1 moved last: shape (m, d^(m+1))."""
+    plan = _SLOT_ROWS.get((d, m))
+    if plan is None:
+        flat = np.arange(d ** (m + 1)).reshape((d,) * (m + 1))
+        plan = _SLOT_ROWS[d, m] = _frozen([np.moveaxis(flat, i + 1, -1).ravel() for i in range(m)])
+    return plan
+
+
+def _placements(d: int, m: int, n: int) -> np.ndarray:
+    """Per slot i, the position in the product of all m slots, shaped
+    (m, d^m, d^n), of each entry of the composed tensor, whose right
+    operand's inputs go between the left's first i + 1 axes and the rest:
+    shape (m, d^(m+n))."""
+    plan = _PLACEMENTS.get((d, m, n))
+    if plan is None:
+        cols = d ** n
+        flat = np.arange(m * d ** (m + n)).reshape(m, -1, cols)
+        plan = _PLACEMENTS[d, m, n] = _frozen(
+            [flat[i].reshape(d ** (i + 1), -1, cols).transpose(0, 2, 1).ravel() for i in range(m)])
+    return plan
+
+
+def _rows(x: np.ndarray, d: int, m: int, slots: range | None = None) -> np.ndarray:
+    """The stack x of flattened degree-m tensors, shaped (B, d^(m+1)), with
+    input axis i + 1 of each moved last and split off, for every slot i in
+    ``slots`` (all by default): (B * S * d^m, d)."""
+    plan = _slot_rows(d, m)
+    if slots is not None and len(slots) < m:
+        plan = plan[slots.start:slots.stop]
+    return x.take(plan, axis=1).reshape(-1, d)
+
+
+def _product(rows: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # numpy's dot of two (1, 1) arrays is one multiplication, which keeps the
+    # sign of a zero product; a BLAS call on more rows adds it to +0.0
+    return rows * right if len(right) == 1 else rows.dot(right)
+
+
+def _large(rows: np.ndarray, right: np.ndarray, d: int, m: int, n: int, slots: range):
+    """The compositions of ``_placed`` one left operand b and slot i at a
+    time, for composed tensors too large for a plan, so that every array
+    stays small: yields b, the position of i in ``slots`` and the block as
+    a strided view shaped (K, d^(i+1), d^n, rest)."""
+    cols = d ** n
+    K, blocks = right.shape[1] // cols, rows.reshape(-1, len(slots), d ** m, d)
+    for b in range(len(blocks)):
+        for s, i in enumerate(slots):
+            prod = _product(blocks[b, s], right).reshape(d ** (i + 1), -1, K, cols)
+            yield b, s, prod.transpose(2, 0, 3, 1)
+
+
+def _placed(rows: np.ndarray, y: np.ndarray, d: int, m: int, n: int, slots: range) -> np.ndarray:
+    """x_b o_i y_k without its sign, from the rows of the degree-m left
+    operands x_b at the slots i and the stack y of flattened degree-n
+    tensors, shaped (K, d^(n+1)): (K * B, S, d^(m+n)), k outer."""
+    K, size, S = len(y), d ** (m + n), len(slots)
+    right = y.reshape(d, -1) if K == 1 else y.reshape(K, d, -1).transpose(1, 0, 2).reshape(d, -1)
+    if size <= _PLANNED_SIZE:
+        prod = _product(rows, right)
+        if K > 1:
+            prod = prod.reshape(-1, K, d ** n).transpose(1, 0, 2)
+        plan = _placements(d, m, n)
+        if S < m:
+            plan = plan[slots.start:slots.stop] - slots.start * size
+        return prod.reshape(-1, plan.size).take(plan, axis=1)
+    out = np.empty((K, len(rows) // (S * d ** m), S, size), np.result_type(rows, right))
+    for b, s, src in _large(rows, right, d, m, n, slots):
+        np.copyto(out[:, b, s].reshape(src.shape), src)
+    return out.reshape(-1, S, size)
+
+
+def _signed(out: np.ndarray, n: int, slots: range, s: int = 1) -> np.ndarray:
+    """``out`` from ``_placed``, each slot i multiplied in place by the sign
+    s (-1)^(i|y|) for a degree-n right operand y."""
+    if _odd_slots_negated(n):
+        negated = out[:, (slots.start + (s > 0)) % 2::2]
+    elif s < 0:
+        negated = out
+    else:
+        return out
+    np.negative(negated, out=negated)
+    return out
+
+
+def _compose(x: np.ndarray, y: np.ndarray, d: int, m: int, n: int, slots: range | None = None,
+             s: int = 1) -> np.ndarray:
+    """s x_b o_i y_k for the stacks x of degree-m and y of degree-n
+    flattened tensors and every slot i in ``slots`` (all by default):
+    (K * B, S, d^(m+n)), k outer."""
+    slots = range(m) if slots is None else slots
+    return _signed(_placed(_rows(x, d, m, slots), y, d, m, n, slots), n, slots, s)
+
+
+def _total(rows: np.ndarray, y: np.ndarray, d: int, m: int, n: int) -> np.ndarray:
+    """x • y from the rows of one degree-m tensor x and one flattened
+    degree-n tensor y: the partial compositions summed in slot order."""
+    negated, right = _odd_slots_negated(n), y.reshape(d, -1)
+    if d ** (m + n) <= _PLANNED_SIZE:
+        parts = _product(rows, right).take(_placements(d, m, n))
+        acc = parts[0]
+        for i in range(1, m):
+            acc = acc - parts[i] if negated and i & 1 else acc + parts[i]
+        return acc
+    acc = np.empty(d ** (m + n), np.result_type(rows, y))
+    for _, i, src in _large(rows, right, d, m, n, range(m)):
+        dst = acc.reshape(src.shape)
+        if i == 0:
+            np.copyto(dst, src)
+        elif negated and i & 1:
+            np.subtract(dst, src, out=dst)
+        else:
+            np.add(dst, src, out=dst)
     return acc
 
 
-def _bracket(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    s = _sign((fc.ndim - 2) * (gc.ndim - 2))
-    return 1.0 * _total(fc, gc) + -float(s) * _total(gc, fc)  # linear_comb's expression
+def _graded_difference(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
+    """a - s b for a sign s."""
+    return a - b if s > 0 else a + b
+
+
+def _bracket(x, xrows, y, yrows, d: int, m: int, n: int) -> np.ndarray:
+    """[x, y] from the flattened entries and the rows of a degree-m x and
+    a degree-n y."""
+    fg, gf = _total(xrows, y, d, m, n), _total(yrows, x, d, n, m)
+    return _graded_difference(fg, gf, _sign((m - 1) * (n - 1)))
+
+
+def _relation_parts(fm: int, i0: int, i1: int, j0: int, j1: int) -> tuple[range, range, range]:
+    """The right-hand sides that the chunk i0 <= i < i1, j0 <= j < j1 of
+    the relation grid composes: the b of (h o_b g) o_x f with x = i + |g|
+    (first case), the k of h o_i (f o_k g), and the b of (h o_b g) o_x f
+    with x = i (third case)."""
+    return (range(j0, max(min(j1, i1 - 1), j0)),
+            range(max(j0 - i1 + 1, 0), min(j1 - i0, fm)),
+            range(max(j0 - fm + 1, i0 + 1), max(j1 - fm + 1, i0 + 1)))
+
+
+def _relation_rows(fm: int, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
+    """For each (i, j) of the chunk, in loop order, the row of its
+    right-hand side among the chunk's stacked (h o_b g) o_x f of the first
+    case, b outer, then h o_i (f o_k g), k outer, then (h o_b g) o_x f of
+    the third case.  For a chunk of one row i that stack is in loop order."""
+    key = (fm, i0, i1, j0, j1)
+    plan = _RELATION_ROWS.get(key)
+    if plan is None:
+        first, mid, third = _relation_parts(*key)
+        n, rows = i1 - i0, []
+        for i in range(i0, i1):
+            for j in range(j0, j1):
+                if j < i:
+                    row = j - first.start
+                elif j < i + fm:
+                    row = len(first) + j - i - mid.start
+                else:
+                    row = len(first) + len(mid) + j - fm + 1 - third.start
+                rows.append(row * n + i - i0)
+        plan = _RELATION_ROWS[key] = _frozen(rows)
+    return plan
+
+
+def _relation_chunks(d: int, hm: int, fm: int, gm: int) -> list[tuple[int, int, int, int]]:
+    """The relation grid as chunks (i0, i1, j0, j1) of whole rows i that
+    keep each chunk's arrays under ``_CHUNK_SIZE`` entries, or of parts of
+    one row where a row is larger."""
+    width, size = hm + fm - 1, d ** (hm + fm + gm - 1)
+    if width * size <= _CHUNK_SIZE:
+        step = _CHUNK_SIZE // (width * size)
+        return [(i, min(i + step, hm), 0, width) for i in range(0, hm, step)]
+    step = max(1, _CHUNK_SIZE // size)
+    return [(i, i + 1, j, min(j + step, width)) for i in range(hm) for j in range(0, width, step)]
+
+
+def _relation_residuals(h, f, g, d: int, hm: int, fm: int, gm: int):
+    """LHS - RHS of the composition relation of the flattened degree-hm,
+    fm and gm tensors h, f and g: for each chunk (i0, i1, j0, j1) of the
+    grid, its residual tensors, one per row, (i, j) in loop order."""
+    every, width, hsize, size = range(hm), hm + fm - 1, d ** hm, d ** (hm + fm + gm - 1)
+    hrows = _rows(h, d, hm)
+    hof = _signed(_placed(hrows, f, d, hm, fm, every), fm, every)[0]
+    fog = _compose(f, g, d, fm, gm)[0]
+    if hm > 1:  # the first and third cases compose h o_b g with f
+        hog = _signed(_placed(hrows, g, d, hm, gm, every), gm, every)[0]
+    s = _sign((fm - 1) * (gm - 1))
+    for i0, i1, j0, j1 in _relation_chunks(d, hm, fm, gm):
+        first, mid, third = _relation_parts(fm, i0, i1, j0, j1)
+        part = range(i0, i1)
+        rhs = []
+        if first:
+            shifted = range(i0 + gm - 1, i1 + gm - 1)
+            rhs.append(_compose(hog[first.start:first.stop], f, d, hm + gm - 1, fm, shifted, s))
+        if mid:
+            rows = hrows[i0 * hsize:i1 * hsize]
+            rhs.append(_signed(_placed(rows, fog[mid.start:mid.stop], d, hm, fm + gm - 1, part),
+                               fm + gm - 1, part))
+        if third:
+            rhs.append(_compose(hog[third.start:third.stop], f, d, hm + gm - 1, fm, part, s))
+        rhs = np.concatenate(rhs).reshape(-1, size) if len(rhs) > 1 else rhs[0].reshape(-1, size)
+        if i1 - i0 > 1:  # one row's right-hand sides are stacked in loop order
+            rhs = rhs[_relation_rows(fm, i0, i1, j0, j1)]
+        yield _compose(hof[i0:i1], g, d, width, gm, range(j0, j1)).reshape(-1, size) - rhs
+
+
+def _jacobi(f: np.ndarray, g: np.ndarray, h: np.ndarray, d: int, fm: int, gm: int, hm: int):
+    """The signed cyclic sum of double brackets of flattened degree-fm, gm
+    and hm tensors."""
+    ops = [(x, _rows(x, d, m), m) for x, m in ((f, fm), (g, gm), (h, hm))]
+    terms = []
+    for (x, xr, xm), (y, yr, ym), (z, zr, zm) in (ops, ops[1:] + ops[:1], ops[2:] + ops[:2]):
+        inner, im = _bracket(x, xr, y, yr, d, xm, ym)[None], xm + ym - 1
+        outer = _bracket(inner, _rows(inner, d, im), z, zr, d, im, zm)
+        terms.append(_sign((xm - 1) * (zm - 1)) * outer)
+    return terms[0] + terms[1] + terms[2]
+
+
+def _residual_norms(res: np.ndarray) -> list[float]:
+    """``float(_norm(r))`` for each row r of ``res`` after its finite check:
+    a row's dot product with itself is finite only if its entries are, and
+    its square root is the norm unless the squares overflowed."""
+    # numpy's dot of each row with itself, the dot that np.linalg.norm takes
+    squares = np.matmul(res[:, None, :], res[:, :, None]).ravel().tolist()
+    return [math.sqrt(sq) if math.isfinite(sq) else float(_norm(_check_finite(res[k])))
+            for k, sq in enumerate(squares)]
+
+
+def _residual_norm(res: np.ndarray) -> float:
+    """``_residual_norms`` of one flattened residual."""
+    sq = float(res.dot(res))
+    return math.sqrt(sq) if math.isfinite(sq) else float(_norm(_check_finite(res)))
+
+
+def _dim(*ops: Operation) -> int:
+    """The common dim of the operations."""
+    for op in ops[1:]:
+        if op.dim != ops[0].dim:
+            raise ValueError(f"dim mismatch: {ops[0].dim} vs {op.dim}")
+    return ops[0].dim
+
+
+def _flat(op: Operation) -> np.ndarray:
+    return op.coeffs.reshape(1, -1)
+
+
+def _composed(res: np.ndarray, f: Operation, g: Operation) -> Operation:
+    degree = f.degree + g.degree - 1
+    return Operation(f.dim, degree, res.reshape((f.dim,) * (degree + 1)))
 
 
 def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
@@ -92,16 +342,18 @@ def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
             f"slot {i} out of range 0..{f.reduced_degree} for a degree-"
             f"{f.degree} operation"
         )
+    d = _dim(f, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _compose(f.coeffs, g.coeffs, i)
-    return Operation(f.dim, f.degree + g.degree - 1, res)
+        res = _compose(_flat(f), _flat(g), d, f.degree, g.degree, range(i, i + 1))
+    return _composed(res, f, g)
 
 
 def total_compose(f: Operation, g: Operation) -> Operation:
     """f • g = sum of f o_i g over all slots i = 0..|f|."""
+    d, x = _dim(f, g), _flat(f)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _total(f.coeffs, g.coeffs)
-    return Operation(f.dim, f.degree + g.degree - 1, res)
+        res = _total(_rows(x, d, f.degree), _flat(g), d, f.degree, g.degree)
+    return _composed(res, f, g)
 
 
 def bracket(f: Operation, g: Operation) -> Operation:
@@ -109,9 +361,10 @@ def bracket(f: Operation, g: Operation) -> Operation:
 
     For degree-1 operations this is the ordinary matrix commutator.
     """
+    d, x, y = _dim(f, g), _flat(f), _flat(g)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _bracket(f.coeffs, g.coeffs)
-    return Operation(f.dim, f.degree + g.degree - 1, res)
+        res = _bracket(x, _rows(x, d, f.degree), y, _rows(y, d, g.degree), d, f.degree, g.degree)
+    return _composed(res, f, g)
 
 
 def composition_relation_residual(
@@ -136,35 +389,52 @@ def composition_relation_residual(
             f"j = {j} outside all case ranges: 0..{i - 1}, {i}..{i + fr}, "
             f"{i + fr + 1}..{hr + fr}"
         )
-    hc, fc, gc = h.coeffs, f.coeffs, g.coeffs
+    d, hc, fc, gc = _dim(h, f, g), _flat(h), _flat(f), _flat(g)
+
+    def compose(x, y, m, n, slot):
+        return _compose(x, y, d, m, n, range(slot, slot + 1))[0]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = _compose(_compose(hc, fc, i), gc, j)
+        lhs = compose(compose(hc, fc, hr + 1, fr + 1, i), gc, hr + fr + 1, gr + 1, j)
         if j <= i - 1:
-            rhs = _compose(_compose(hc, gc, j), fc, i + gr)
-            s = _sign(fr * gr)
+            hog, s = compose(hc, gc, hr + 1, gr + 1, j), _sign(fr * gr)
+            rhs = compose(hog, fc, hr + gr + 1, fr + 1, i + gr)
         elif j <= i + fr:
-            rhs = _compose(hc, _compose(fc, gc, j - i), i)
-            s = 1
+            fog, s = compose(fc, gc, fr + 1, gr + 1, j - i), 1
+            rhs = compose(hc, fog, hr + 1, fr + gr + 1, i)
         else:
-            rhs = _compose(_compose(hc, gc, j - fr), fc, i)
-            s = _sign(fr * gr)
-        return float(_norm(_check_finite(lhs - s * rhs)))
+            hog, s = compose(hc, gc, hr + 1, gr + 1, j - fr), _sign(fr * gr)
+            rhs = compose(hog, fc, hr + gr + 1, fr + 1, i)
+        return _residual_norm(_graded_difference(lhs, rhs, s)[0])
+
+
+def composition_relation_residuals(h: Operation, f: Operation, g: Operation) -> list[float]:
+    """``composition_relation_residual(h, f, g, i, j)`` for every i in
+    0..|h| and j in 0..|h| + |f|, i outer: the whole relation grid of a
+    triple from a few stacked products.  An overflow raises the error of
+    the first (i, j) in that order whose residual has a non-finite entry."""
+    d, hm, fm, gm = _dim(h, f, g), h.degree, f.degree, g.degree
+    with np.errstate(over="ignore", invalid="ignore"):
+        chunks = _relation_residuals(_flat(h), _flat(f), _flat(g), d, hm, fm, gm)
+        return [norm for res in chunks for norm in _residual_norms(res)]
 
 
 def unit_residual(f: Operation) -> float:
     """max(||id o_0 f - f||, ||f o_i id - f|| for all i); exactly 0 here."""
-    fc, ident = f.coeffs, np.eye(f.dim)
+    d, x, ident = f.dim, _flat(f), np.eye(f.dim).reshape(1, -1)
     # compositions with the identity are exact, so nothing here can overflow
-    diffs = [_compose(ident, fc, 0)] + [_compose(fc, ident, i) for i in range(f.degree)]
-    return max(float(_norm(r - fc)) for r in diffs)
+    composed = np.concatenate((_compose(ident, x, d, 1, f.degree)[0],
+                               _compose(x, ident, d, f.degree, 1)[0]))
+    return max(_residual_norms(composed - x))
 
 
 def antisymmetry_residual(f: Operation, g: Operation) -> float:
     """Frobenius norm of [f, g] + (-1)^(|f||g|) [g, f]; exactly 0 here."""
+    d, m, n, x, y = _dim(f, g), f.degree, g.degree, _flat(f), _flat(g)
     s = _sign(f.reduced_degree * g.reduced_degree)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _bracket(f.coeffs, g.coeffs) + s * _bracket(g.coeffs, f.coeffs)
-        return float(_norm(_check_finite(res)))
+        fg, gf = _total(_rows(x, d, m), y, d, m, n), _total(_rows(y, d, n), x, d, n, m)
+        return _residual_norm(_graded_difference(fg, gf, s) + s * _graded_difference(gf, fg, s))
 
 
 def jacobi_residual(f: Operation, g: Operation, h: Operation) -> float:
@@ -174,12 +444,7 @@ def jacobi_residual(f: Operation, g: Operation, h: Operation) -> float:
     vanishes identically (graded Jacobi identity); the returned residual is
     pure rounding noise.
     """
-    fr, gr, hr = f.reduced_degree, g.reduced_degree, h.reduced_degree
-    fc, gc, hc = f.coeffs, g.coeffs, h.coeffs
+    d = _dim(f, g, h)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = (
-            _sign(fr * hr) * _bracket(_bracket(fc, gc), hc)
-            + _sign(gr * fr) * _bracket(_bracket(gc, hc), fc)
-            + _sign(hr * gr) * _bracket(_bracket(hc, fc), gc)
-        )
-        return float(_norm(_check_finite(res)))
+        return _residual_norm(_jacobi(_flat(f), _flat(g), _flat(h), d, f.degree, g.degree,
+                                      h.degree))

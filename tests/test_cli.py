@@ -268,6 +268,18 @@ def test_csv_kernel_decides_all_but_near_ties_exactly():
             assert (digits, k + _g17.K_MIN) == (int(mantissa.replace(".", "")), int(exponent))
 
 
+def test_csv_kernel_keeps_zeros_and_powers_of_ten():
+    # D = 1e16 is only ambiguous where 10^k is no double and |x| may lie
+    # below it; zeros (scaled as 1.0) and exact powers of ten are not
+    x = np.array([0.0, -0.0, 1.0, 10.0, 1e-3, 1e22])
+    d, kidx, slow = _g17._decimal(x, _g17._tables())
+    assert not slow.any()
+    assert (kidx + _g17.K_MIN).tolist() == [0, 0, 0, 1, -3, 22]
+    assert d.tolist() == [0, 0] + [10**16] * 4
+    table = np.resize(x, (1, 17))
+    assert cli._format_table(table, "csv") == reference_csv(table)
+
+
 def repr_edge_values(rng):
     """Doubles at the edges of the vectorised shortest-repr kernel: repr's
     notation switch, powers of two (whose interval below is half as wide),

@@ -17,11 +17,13 @@ from operadlax import (
     antisymmetry_residual,
     bracket,
     composition_relation_residual,
+    composition_relation_residuals,
     evaluate,
     frobenius_norm,
     identity_op,
     jacobi_residual,
     linear_comb,
+    operad,
     partial_compose,
     total_compose,
     unit_residual,
@@ -238,6 +240,82 @@ def test_residuals_bitwise_match_operation_level_reference():
             assert got == want
             counts["overflow" if got == "overflow" else "finite"] += 1
     assert counts["overflow"] > 0 and counts["finite"] > 10 * counts["overflow"]
+
+
+def error_or(residual, *args):
+    """The residual, or the message of the finite check's error."""
+    try:
+        return residual(*args)
+    except ValueError as exc:
+        assert str(exc).startswith("non-finite coefficient at flat index ")
+        return str(exc)
+
+
+SHAPES = [(d, degrees) for d in (1, 2, 3) for degrees in itertools.product((1, 2, 3), repeat=3)]
+
+
+def test_relation_grid_bitwise_matches_operation_level_reference():
+    """The batched grid gives, at every (i, j) and on every shape with
+    d <= 3 and degrees <= 3, the reference's float, or refuses the overflow
+    the reference refuses, with the one-pair call's error for the first
+    (i, j) that overflows."""
+    rng = np.random.default_rng(23)
+    counts = {"finite": 0, "overflow": 0}
+    for d, degrees in SHAPES:
+        for _ in range(4):
+            h, f, g = (kernel_case_op(rng, d, n) for n in degrees)
+            pairs = [(i, j) for i in range(h.degree)
+                     for j in range(h.reduced_degree + f.reduced_degree + 1)]
+            want = [outcome(reference_relation, h, f, g, i, j) for i, j in pairs]
+            got = error_or(composition_relation_residuals, h, f, g)
+            if "overflow" in want:
+                i, j = pairs[want.index("overflow")]
+                assert got == error_or(composition_relation_residual, h, f, g, i, j)
+                assert isinstance(got, str)
+                counts["overflow"] += 1
+            else:
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+                counts["finite"] += 1
+    assert counts["overflow"] > 0 and counts["finite"] > 2 * counts["overflow"]
+
+
+def kernel_residuals(rng, d, degrees):
+    """The kernel's relation-grid and Jacobi residual tensors of random
+    int64 tensors with entries in [-2^15, 2^15)."""
+    hm, fm, gm = degrees
+    h, f, g = (rng.integers(-2**15, 2**15, size=(1, d ** (n + 1))) for n in degrees)
+    relation = np.concatenate(list(operad._relation_residuals(h, f, g, d, hm, fm, gm)))
+    return relation, operad._jacobi(f, g, h, d, fm, gm, hm)
+
+
+def test_kernel_residuals_vanish_exactly_on_integers(monkeypatch):
+    """Every relation and the Jacobi identity are polynomial identities in
+    the coefficients, so on integers the kernel's residual tensors are
+    exactly zero: an oracle that does not depend on float rounding.  They
+    are not for a calculus without the partial-composition signs; without
+    every sign (the ungraded calculus, also consistent) they are again."""
+    rng = np.random.default_rng(24)
+    for d, degrees in SHAPES:
+        relation, jacobi = kernel_residuals(rng, d, degrees)
+        assert relation.dtype == jacobi.dtype == np.int64
+        assert not relation.any() and not jacobi.any()
+
+    monkeypatch.setattr(operad, "_odd_slots_negated", lambda n: False)
+    broken = {"relation": set(), "jacobi": set()}
+    for d, degrees in SHAPES:
+        relation, jacobi = kernel_residuals(rng, d, degrees)
+        for name, res in (("relation", relation), ("jacobi", jacobi)):
+            if res.any():
+                broken[name].add((d, degrees))
+    # the first and third cases keep their sign (-1)^(|f||g|)
+    assert broken["relation"] == {(d, (hm, 2, 2)) for d in (1, 2, 3) for hm in (2, 3)}
+    assert broken["jacobi"] == {(d, degrees) for d, degrees in SHAPES
+                                if min(degrees) > 1 and degrees.count(2) >= 2}
+
+    monkeypatch.setattr(operad, "_sign", lambda k: 1)
+    for d, degrees in SHAPES:
+        relation, jacobi = kernel_residuals(rng, d, degrees)
+        assert not relation.any() and not jacobi.any()
 
 
 def test_residual_overflow_raises_without_warning():

@@ -17,12 +17,6 @@ from hypothesis import strategies as st  # noqa: E402
 from operadlax import AuxValues, cli, g_values, grid_lax_residual, lax_generator  # noqa: E402
 from reference_rhs import _explicit_rhs, aux_rhs  # noqa: E402
 
-# on a failure hypothesis imports libcst to print an @example patch, and
-# libcst warns through mypy_extensions; let that report the failure
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
-)
-
 EPS = np.finfo(float).eps
 
 omegas = st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x)
