@@ -238,8 +238,9 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
 
     if integrator == "exact":
         q, p = exact_path(s0, ts)
-        aux = astuple(aux_exact_flow(a0, omega, ts))
-        mu = closed_form_path(a0, omega, ts, params.values)
+        flow = aux_exact_flow(a0, omega, ts)
+        aux = astuple(flow)
+        mu = closed_form_path(a0, omega, ts, params.values, aux=flow)
     else:
         def rk4(generator, y0):
             return rk4_linear_path(generator, y0, cfg.t_end, cfg.steps)[1]
@@ -275,9 +276,9 @@ def _format_table(table: np.ndarray, fmt: str) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _run_config(args.config, args)
     table = np.column_stack(_simulate_samples(cfg, args.integrator))
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        raise IntegrationError(f"non-finite value in sample {int(bad[0])}")
+    if not np.isfinite(table).all():
+        bad = int(np.argmin(np.isfinite(table).all(axis=1)))  # the first bad sample
+        raise IntegrationError(f"non-finite value in sample {bad}")
 
     text = _format_table(table, cfg.format)
     if cfg.out == "-":

@@ -130,7 +130,14 @@ def _norm(x: np.ndarray, axis: int | None = None) -> np.ndarray | np.floating:
     that squaring finite entries (above ~1e154) made infinite is recomputed
     scaled by the largest magnitude; every other norm keeps its bits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(x, axis=axis)
+        if axis == 1 and x.shape[1:] == (8,) and x.flags.c_contiguous:
+            # the row norms of (N, 8) samples, summed in numpy's pairwise
+            # order for 8 contiguous values: norm's bits in half its time
+            s = x * x
+            norms = np.sqrt(((s[:, 0] + s[:, 1]) + (s[:, 2] + s[:, 3]))
+                            + ((s[:, 4] + s[:, 5]) + (s[:, 6] + s[:, 7])))
+        else:
+            norms = np.linalg.norm(x, axis=axis)
         # numpy's all() on a scalar costs more than the norm itself
         if math.isfinite(norms) if axis is None else np.isfinite(norms).all():
             return norms

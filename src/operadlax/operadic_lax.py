@@ -20,7 +20,21 @@ routes is a test target, not an assumption.
 
 The general solution is an 8-parameter family mu = K(C) a, linear in the
 parameters C1..C8 and in the oscillator's auxiliary functions
-a = (A+, A-, D+, D-) (``closed_form_mu``).  The family solves the Lax
+a = (A+, A-, D+, D-) (``closed_form_mu``).  With rows in the component
+order below and columns (A+, A-, D+, D-),
+
+    K(C) = [[ C6,               C5,            C8,   C7],
+            [ C1,               C2,           -C7,   C8],
+            [-(C1 + C3 + C5),   C6 - C2 - C4, -C7,   C8],
+            [ C4,              -C3,           -C8,  -C7],
+            [ C3,               C4,           -C7,   C8],
+            [ C6 - C2 - C4,     C1 + C3 + C5, -C8,  -C7],
+            [ C2,              -C1,           -C8,  -C7],
+            [-C5,               C6,            C7,  -C8]],
+
+formed once per call and applied to all samples as one matrix product
+(the eight sums written out term by term are the tests' oracle,
+``tests/reference_rhs.py``).  The family solves the Lax
 equation exactly when K(C) R = A K(C), with R the rotation-law generator
 (``aux_generator``) and A the Lax generator (``lax_generator``).  Then the
 residual of the eight ODEs is
@@ -198,24 +212,32 @@ def lax_generator(omega: float) -> np.ndarray:
 
 
 def _mu_components(aux: AuxValues, c: np.ndarray) -> np.ndarray:
-    """The eight closed-form components; broadcasts over array aux values."""
-    ap, am, dp, dm = aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus
-    c1, c2, c3, c4, c5, c6, c7, c8 = c
+    """The eight closed-form components K(C) a, shape (..., 8) for aux
+    fields of shape (...): one product of the stacked aux with K(C)^T."""
+    cs = np.asarray(c, dtype=float).tolist()
+    # an entry of K adds up to three C's: formed at a quarter scale when one
+    # C reaches 2^1022, it stays finite, and the factor 4 back is exact
+    scale = 4.0 if max(map(abs, cs)) >= 2.0**1022 else 1.0
+    c1, c2, c3, c4, c5, c6, c7, c8 = (x / scale for x in cs)
+    k = np.array(
+        [
+            [c6, c5, c8, c7],
+            [c1, c2, -c7, c8],
+            [-(c1 + c3 + c5), c6 - c2 - c4, -c7, c8],
+            [c4, -c3, -c8, -c7],
+            [c3, c4, -c7, c8],
+            [c6 - c2 - c4, c1 + c3 + c5, -c8, -c7],
+            [c2, -c1, -c8, -c7],
+            [-c5, c6, c7, -c8],
+        ]
+    )
+    a = np.array([aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus], dtype=float)
     # overflow leaves non-finite entries, which the callers' checks report
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack(
-            [
-                c5 * am + c6 * ap + c7 * dm + c8 * dp,
-                c1 * ap + c2 * am - c7 * dp + c8 * dm,
-                -c1 * ap - c2 * am - c3 * ap - c4 * am - c5 * ap + c6 * am - c7 * dp + c8 * dm,
-                -c3 * am + c4 * ap - c7 * dm - c8 * dp,
-                c3 * ap + c4 * am - c7 * dp + c8 * dm,
-                c1 * am - c2 * ap + c3 * am - c4 * ap + c5 * am + c6 * ap - c7 * dm - c8 * dp,
-                -c1 * am + c2 * ap - c7 * dm - c8 * dp,
-                -c5 * ap + c6 * am + c7 * dp - c8 * dm,
-            ],
-            axis=-1,
-        )
+        mu = np.moveaxis(a, 0, -1) @ k.T
+        if scale != 1.0:
+            mu *= scale
+    return mu
 
 
 def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants2:
@@ -234,10 +256,15 @@ def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants
     return StructureConstants2(_mu_components(aux, params.values))
 
 
-def closed_form_path(a0: AuxValues, omega: float, ts, c) -> np.ndarray:
+def closed_form_path(
+    a0: AuxValues, omega: float, ts, c, aux: AuxValues | None = None
+) -> np.ndarray:
     """Closed-form mu along the smooth aux flow from the seed a0, shape
-    (len(ts), 8) for the parameter values c."""
-    return _mu_components(aux_exact_flow(a0, omega, ts), c)
+    (len(ts), 8) for the parameter values c.  A caller that holds the flow
+    ``aux_exact_flow(a0, omega, ts)`` already passes it as ``aux``."""
+    if aux is None:
+        aux = aux_exact_flow(a0, omega, ts)
+    return _mu_components(aux, c)
 
 
 def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:

@@ -24,7 +24,8 @@ equivalently D+ + i D- = (A+ + i A-)^3 / 2.  The algebraic system fixes
 * ``aux_exact_flow`` - the smooth dynamic continuation from a t = 0 seed,
   which rotates (A+, A-) at frequency w/2 and (D+, D-) at 3w/2 and is
   4*pi/w periodic (it crosses sign, so it can differ from the pointwise
-  branch by an overall sign at later times).
+  branch by an overall sign at later times).  The 3w/2 rotation is the
+  cube of the w/2 one, by the triple-angle identities.
 
 The rotation laws are exactly the vanishing of the residuals
 
@@ -205,9 +206,9 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
             # rows [m, m + count) are P^stride times rows [m - stride, ...)
             count = min(stride, steps + 1 - m)
             block = ys[m - stride : m - stride + count] @ power.T
-            bad = ~np.isfinite(block).all(axis=1)
-            if bad.any():
-                k = m + int(np.argmax(bad))
+            if not np.isfinite(block).all():
+                # the row scan runs only to name the first non-finite step
+                k = m + int(np.argmin(np.isfinite(block).all(axis=1)))
                 raise IntegrationError(
                     f"non-finite state at step {k} (t = {ts[k]:.6g})"
                 )
@@ -281,13 +282,17 @@ def aux_exact_flow(a0: AuxValues, omega: float, t) -> AuxValues:
     """Smooth dynamic continuation of a t = 0 seed, at a time or an array
     of times (then every field is an array).
 
-    Rotates (A+, A-) by omega*t/2 and (D+, D-) by 3*omega*t/2; this is the
+    Rotates (A+, A-) by x = omega*t/2 and (D+, D-) by 3x; this is the
     unique solution of the rotation laws G = 0 and preserves A+^2 + A-^2
-    and D+^2 + D-^2 exactly.
+    and D+^2 + D-^2 exactly.  Only x goes through cos and sin: the 3x
+    rotation is their cube, cos 3x = c (c^2 - 3 s^2) and
+    sin 3x = s (3 c^2 - s^2), so D+ + i D- = (A+ + i A-)^3 / 2 holds along
+    the flow to rounding at any t, and 3x is never rounded.
     """
     half = 0.5 * omega * t
     c1, s1 = np.cos(half), np.sin(half)
-    c3, s3 = np.cos(3.0 * half), np.sin(3.0 * half)
+    cc, ss = c1 * c1, s1 * s1
+    c3, s3 = c1 * (cc - 3.0 * ss), s1 * (3.0 * cc - ss)
     # an infinite seed (H overflowed) gives non-finite values; callers report them
     with np.errstate(over="ignore", invalid="ignore"):
         return AuxValues(

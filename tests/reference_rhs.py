@@ -9,7 +9,9 @@ that the tests can compare the generators against them.
 * ``aux_rhs``       - the rotation laws of (A+, A-, D+, D-);
 * ``_explicit_rhs`` and ``lax_rhs_explicit`` - the eight expanded ODEs of
   the operadic Lax equation d(mu)/dt = [M, mu] in dim 2;
-* ``lax_rhs_bracket`` - [M, mu] through the abstract Gerstenhaber bracket.
+* ``lax_rhs_bracket`` - [M, mu] through the abstract Gerstenhaber bracket;
+* ``closed_form_reference`` - the closed-form family mu = K(C) a as eight
+  sums of products C_i a_j, which the package forms as one matrix product.
 """
 
 import numpy as np
@@ -68,3 +70,23 @@ def lax_rhs_explicit(mu: StructureConstants2, omega: float) -> StructureConstant
     """
     _check_omega(omega)
     return StructureConstants2(_explicit_rhs(mu.values, omega))
+
+
+def closed_form_reference(aux: AuxValues, c) -> np.ndarray:
+    """The eight closed-form components, each a sum of products C_i a_j
+    evaluated left to right; broadcasts over array aux values."""
+    ap, am, dp, dm = aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus
+    c1, c2, c3, c4, c5, c6, c7, c8 = c
+    return np.stack(
+        [
+            c5 * am + c6 * ap + c7 * dm + c8 * dp,
+            c1 * ap + c2 * am - c7 * dp + c8 * dm,
+            -c1 * ap - c2 * am - c3 * ap - c4 * am - c5 * ap + c6 * am - c7 * dp + c8 * dm,
+            -c3 * am + c4 * ap - c7 * dm - c8 * dp,
+            c3 * ap + c4 * am - c7 * dp + c8 * dm,
+            c1 * am - c2 * ap + c3 * am - c4 * ap + c5 * am + c6 * ap - c7 * dm - c8 * dp,
+            -c1 * am + c2 * ap - c7 * dm - c8 * dp,
+            -c5 * ap + c6 * am + c7 * dp - c8 * dm,
+        ],
+        axis=-1,
+    )

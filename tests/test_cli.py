@@ -560,6 +560,19 @@ def test_verify_overflow_is_one_error_line(tmp_path, capsys):
     ]
 
 
+def test_verify_names_the_first_overflowing_sample(tmp_path, capsys):
+    # mu = 4e307 (D- + D+) in its first component: 1.6e308 at t = 0, where
+    # D = (4, 0), and past the largest double from t = 0.09 on
+    path = write_config(tmp_path, c=[0, 0, 0, 0, 0, 0, 4e307, 4e307], t_end=1.0, steps=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, ["verify", str(path)])
+    assert code == 1
+    assert err.splitlines() == [
+        "error: closed_form: non-finite value at sample 9 (t = 0.09)"
+    ]
+
+
 @pytest.mark.parametrize("argv, line", [
     (["verify", "{config}", "--q0", "1e200"],
      "error: closed_form: non-finite value at sample 0 (t = 0)"),

@@ -12,6 +12,7 @@ from operadlax import (
     identity_op,
     linear_comb,
 )
+from operadlax.multilinear import _norm
 
 
 def test_operation_stores_matrix_exactly():
@@ -165,3 +166,19 @@ def test_frobenius_norm_homogeneous():
         assert frobenius_norm(scaled) == pytest.approx(
             abs(a) * frobenius_norm(f), rel=1e-15
         )
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 2000])
+def test_row_norms_of_eight_keep_numpy_bits(rows):
+    # the (N, 8) row norms sum their squares in numpy's own pairwise order
+    rng = np.random.default_rng(rows)
+    # one scale per row, so that each sum's order shows in its rounding
+    x = rng.standard_normal((rows, 8)) * 10.0 ** rng.uniform(-160, 150, (rows, 1))
+    x[rng.uniform(size=x.shape) < 0.2] = 0.0
+    x[rng.uniform(size=x.shape) < 0.1] = -0.0
+    x[::5] = 0.0
+    x[1::5] = -0.0
+    for rows_of in (x, np.asfortranarray(x), x[::-1]):
+        got, want = _norm(rows_of, axis=1), np.linalg.norm(rows_of, axis=1)
+        assert got.shape == want.shape == (rows,)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

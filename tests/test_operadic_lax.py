@@ -19,6 +19,7 @@ from operadlax import (
     aux_exact_flow,
     classical_lax_residual,
     closed_form_mu,
+    closed_form_path,
     g_residuals,
     g_residuals_along,
     g_values,
@@ -29,7 +30,7 @@ from operadlax import (
     pde_residual,
     verify_lax_representation,
 )
-from reference_rhs import aux_rhs, lax_rhs_bracket, lax_rhs_explicit
+from reference_rhs import aux_rhs, closed_form_reference, lax_rhs_bracket, lax_rhs_explicit
 
 CANONICAL = OscState(0.0, 2.0, 1.0)
 
@@ -207,6 +208,75 @@ def test_closed_form_linear_in_params_and_aux():
         + closed_form_mu(aux, SolutionParams(c2)).values,
         atol=1e-14,
     )
+
+
+def closed_form_bound(aux, c):
+    """A few eps times sum|C| * sum|a| per sample: each component is a sum of
+    at most eight of the products C_i a_j, rounded in either order."""
+    a = np.abs(np.array([aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus])).sum(axis=0)
+    products = a[..., None] * np.abs(c)  # summed as products: finite at |C| = 1e308
+    return 4.0 * np.finfo(float).eps * products.sum(axis=-1, keepdims=True)
+
+
+def test_closed_form_matches_reference_across_scales():
+    rng = np.random.default_rng(30)
+    ts = np.linspace(0.0, 40.0, 401)
+    for _ in range(200):
+        c = rng.uniform(-1, 1, 8) * 10.0 ** rng.uniform(-150, 150)
+        a0 = AuxValues(*(rng.uniform(-1, 1, 4) * 10.0 ** rng.uniform(-150, 150)))
+        got = closed_form_mu(a0, SolutionParams(c)).values
+        assert np.all(np.abs(got - closed_form_reference(a0, c)) <= closed_form_bound(a0, c))
+        omega = float(10.0 ** rng.uniform(-1, 1))
+        aux = aux_exact_flow(a0, omega, ts)
+        path = closed_form_path(a0, omega, ts, c)
+        assert path.shape == (len(ts), 8)
+        assert np.all(np.abs(path - closed_form_reference(aux, c)) <= closed_form_bound(aux, c))
+        np.testing.assert_array_equal(closed_form_path(a0, omega, ts, c, aux=aux), path)
+
+
+def test_closed_form_exact_on_small_integers():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        c = rng.integers(-64, 65, 8).astype(float)
+        a0 = AuxValues(*rng.integers(-64, 65, 4).astype(float))
+        want = closed_form_reference(a0, c)
+        np.testing.assert_array_equal(closed_form_mu(a0, SolutionParams(c)).values, want)
+        aux = AuxValues(*rng.integers(-64, 65, (4, 30)).astype(float))
+        np.testing.assert_array_equal(
+            closed_form_path(a0, 1.0, np.zeros(30), c, aux=aux), closed_form_reference(aux, c)
+        )
+        np.testing.assert_array_equal(closed_form_path(a0, 1.0, np.zeros(1), c), want[None])
+
+
+def test_closed_form_keeps_subnormal_parameters():
+    # a lone subnormal C times a large aux is one rounded product either way
+    for tiny in (5e-324, -3e-320, 2.0**-1022):
+        for beta in range(8):
+            c = np.zeros(8)
+            c[beta] = tiny
+            a0 = AuxValues(1e300, -3e299, 2e250, 7e299)
+            got = closed_form_mu(a0, SolutionParams(c)).values
+            np.testing.assert_array_equal(got, closed_form_reference(a0, c))
+            assert np.count_nonzero(got) >= 2
+
+
+def test_closed_form_finite_where_the_sums_are():
+    # each product C_i a_j is about 1e305, but K(C)'s sums of three C's
+    # would overflow if K were formed at full scale
+    c = np.full(8, 1e308)
+    za = 1e-3 * (0.8 - 0.6j)
+    zd = za**3 / 2
+    a0 = AuxValues(za.real, za.imag, zd.real, zd.imag)
+    ts = np.linspace(0.0, 20.0, 201)
+    aux = aux_exact_flow(a0, 1.3, ts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = closed_form_mu(a0, SolutionParams(c)).values
+        path = closed_form_path(a0, 1.3, ts, c)
+    for value, a in ((got, a0), (path, aux)):
+        want = closed_form_reference(a, c)
+        assert np.isfinite(want).all() and np.isfinite(value).all()
+        assert np.all(np.abs(value - want) <= closed_form_bound(a, c))
 
 
 def test_g_values_on_flow_vanish():

@@ -311,6 +311,18 @@ def test_aux_cubic_identity():
         assert abs(zd - 0.5 * za ** 3) <= 1e-12 * (1 + abs(zd))
 
 
+def test_aux_flow_keeps_cubic_identity_to_rounding():
+    # (D+, D-) turn by the cube of (A+, A-)'s rotation, so D = A^3 / 2 holds
+    # to a few ulps of |D| however many periods 4 pi / omega have passed
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        s = OscState(*rng.uniform(-3, 3, 2), float(10.0 ** rng.uniform(-1, 1)))
+        ts = np.linspace(0.0, 1e3 * 4.0 * math.pi / s.omega, 20001)
+        a = aux_exact_flow(aux_algebraic(s), s.omega, ts)
+        za, zd = a.a_plus + 1j * a.a_minus, a.d_plus + 1j * a.d_minus
+        assert np.all(np.abs(zd - za * za * za / 2) <= 4e-15 * np.abs(zd))
+
+
 def test_aux_exact_flow_examples():
     a0 = AuxValues(2, 0, 4, 0)
     assert aux_exact_flow(a0, 1.0, 0.0) == a0
