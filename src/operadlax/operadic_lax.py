@@ -44,8 +44,8 @@ residual of the eight ODEs is
 the family itself evaluated at the four rotation-law residuals G, for any,
 even off-trajectory, (aux, aux_dot): ``closed_form_mu(G, C)``.  On
 trajectories the G's vanish, so the family solves the Lax equation; the
-whole chain is verified numerically end to end by
-``verify_lax_representation``.
+whole chain is verified end to end by ``verify_lax_representation``,
+which takes d(mu)/dt on the flow exactly as K(C) R a.
 
 Component order everywhere (flat index alpha = 0..7, 1-based labels):
 
@@ -69,6 +69,7 @@ from .oscillator import (
     _central_difference,
     aux_algebraic,
     aux_exact_flow,
+    aux_generator,
     energy,
     hamilton_generator,
     hamiltonian,
@@ -211,47 +212,53 @@ def lax_generator(omega: float) -> np.ndarray:
     return lax_rhs_index(basis, m_matrix(omega).coeffs).reshape(8, 8).T
 
 
-def _mu_components(aux: AuxValues, c: np.ndarray) -> np.ndarray:
-    """The eight closed-form components K(C) a, shape (..., 8) for aux
-    fields of shape (...): one product of the stacked aux with K(C)^T."""
+def _k_matrix(c: np.ndarray) -> tuple[np.ndarray, float]:
+    """K(C) and the factor that scales its products back (``_times_k``)."""
     cs = np.asarray(c, dtype=float).tolist()
     # an entry of K adds up to three C's: formed at a quarter scale when one
     # C reaches 2^1022, it stays finite, and the factor 4 back is exact
     scale = 4.0 if max(map(abs, cs)) >= 2.0**1022 else 1.0
     c1, c2, c3, c4, c5, c6, c7, c8 = (x / scale for x in cs)
-    k = np.array(
-        [
-            [c6, c5, c8, c7],
-            [c1, c2, -c7, c8],
-            [-(c1 + c3 + c5), c6 - c2 - c4, -c7, c8],
-            [c4, -c3, -c8, -c7],
-            [c3, c4, -c7, c8],
-            [c6 - c2 - c4, c1 + c3 + c5, -c8, -c7],
-            [c2, -c1, -c8, -c7],
-            [-c5, c6, c7, -c8],
-        ]
-    )
+    return np.array([
+        [c6, c5, c8, c7],
+        [c1, c2, -c7, c8],
+        [-(c1 + c3 + c5), c6 - c2 - c4, -c7, c8],
+        [c4, -c3, -c8, -c7],
+        [c3, c4, -c7, c8],
+        [c6 - c2 - c4, c1 + c3 + c5, -c8, -c7],
+        [c2, -c1, -c8, -c7],
+        [-c5, c6, c7, -c8],
+    ]), scale
+
+
+def _aux_rows(aux: AuxValues) -> np.ndarray:
     a = np.array([aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus], dtype=float)
+    return np.moveaxis(a, 0, -1)  # (..., 4): a stack of aux rows
+
+
+def _times_k(rows: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     # overflow leaves non-finite entries, which the callers' checks report
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.moveaxis(a, 0, -1) @ k.T
+        mu = rows @ k.T
         if scale != 1.0:
             mu *= scale
     return mu
 
 
+def _mu_components(aux: AuxValues, c: np.ndarray) -> np.ndarray:
+    """The eight closed-form components K(C) a, shape (..., 8) for aux
+    fields of shape (...): one product of the stacked aux with K(C)^T."""
+    return _times_k(_aux_rows(aux), *_k_matrix(c))
+
+
 def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants2:
-    """Structure constants of the closed-form solution family.
+    """Structure constants of the closed-form solution family, K(C) a.
 
     Linear both in the parameters and in (A+, A-, D+, D-); evaluated on an
-    aux trajectory it solves the operadic Lax equation.  Being linear with
-    constant coefficients, the same map K(C) sends aux rates to d(mu)/dt,
-    and as K(C) R = A K(C) (R = ``aux_generator``, A = ``lax_generator``)
-
-        d(closed form)/dt - A (closed form) = K(C) (aux_dot - R aux) = K(C) G:
-
-    evaluated at the rotation-law residuals G (``g_values``) it gives the
-    closed form's Lax-equation residuals, for any (aux, aux_dot) at all.
+    aux trajectory it solves the operadic Lax equation.  Evaluated at the
+    rotation-law residuals G (``g_values``) it gives the closed form's
+    Lax-equation residuals K(C) G, for any (aux, aux_dot) at all (see the
+    module docstring).
     """
     return StructureConstants2(_mu_components(aux, params.values))
 
@@ -262,9 +269,7 @@ def closed_form_path(
     """Closed-form mu along the smooth aux flow from the seed a0, shape
     (len(ts), 8) for the parameter values c.  A caller that holds the flow
     ``aux_exact_flow(a0, omega, ts)`` already passes it as ``aux``."""
-    if aux is None:
-        aux = aux_exact_flow(a0, omega, ts)
-    return _mu_components(aux, c)
+    return _mu_components(aux_exact_flow(a0, omega, ts) if aux is None else aux, c)
 
 
 def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
@@ -281,13 +286,18 @@ def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     return _norm(dmu - mu @ lax_generator(omega).T, axis=1)
 
 
+def _require_finite(stage: str, values: np.ndarray, ts: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        k = int(np.argmin(np.isfinite(values).all(axis=1)))  # the first non-finite row
+        raise IntegrationError(f"{stage}: non-finite value at sample {k} (t = {ts[k]:.6g})")
+
+
 def verify_lax_representation(
     params: SolutionParams,
     s0: OscState,
     t_end: float,
     steps: int,
     tol: float,
-    h_fd: float = 1e-4,
     seed=None,
 ) -> VerificationReport:
     """End-to-end verification of the closed-form Lax representation.
@@ -298,21 +308,20 @@ def verify_lax_representation(
       mu(t) and the RK4 integration of the Lax equation seeded with the
       t = 0 closed-form value (isolates integrator truncation);
     * lax_equation_residual - max Frobenius norm of d(mu)/dt - [M, mu],
-      with the derivative by central differences (step h_fd) on the
-      closed form and the bracket as ``lax_generator``;
+      with the closed form's exact derivative K(C) R a (R = ``aux_generator``)
+      and the bracket as ``lax_generator``: rounding iff A K(C) = K(C) R;
     * mu_norm_drift         - max drift of the Frobenius norm of the
       closed-form mu (conserved: the evolution is a pair of rotations);
     * hamiltonian_drift     - max energy drift of an RK4 trajectory of
       (q, p) on the same grid.
 
-    Both RK4 runs integrate linear systems, so they use
-    ``rk4_linear_path``: the mu run with ``lax_generator``, the (q, p) run
-    with Hamilton's generator.
-    They are classical RK4 and agree with a step-by-step loop up to
-    rounding.
+    Both RK4 runs integrate linear systems with ``rk4_linear_path``
+    (classical RK4, equal to a step-by-step loop up to rounding): the mu
+    run with ``lax_generator``, the (q, p) run with Hamilton's generator.
 
     Each check passes iff its max residual is <= tol.  A non-finite closed
-    form raises ``IntegrationError`` before the RK4 run it would seed.
+    form raises ``IntegrationError`` before the RK4 run it would seed, and
+    so does a non-finite d(mu)/dt - [M, mu].
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -321,27 +330,29 @@ def verify_lax_representation(
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be positive, got {t_end}")
     omega = s0.omega
-    cvals = params.values
     ts = np.linspace(0.0, t_end, steps + 1)
-    a0 = aux_algebraic(s0)
 
-    mu_cf = closed_form_path(a0, omega, ts, cvals)
-    if not np.isfinite(mu_cf).all():
-        k = int(np.argmin(np.isfinite(mu_cf).all(axis=1)))  # the first non-finite row
-        raise IntegrationError(f"closed_form: non-finite value at sample {k} (t = {ts[k]:.6g})")
+    rows = _aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts))
+    k, scale = _k_matrix(params.values)
+    mu_cf = _times_k(rows, k, scale)
+    _require_finite("closed_form", mu_cf, ts)
     generator = lax_generator(omega)
 
     try:
         _, mu_rk4 = rk4_linear_path(generator, mu_cf[0], t_end, steps)
     except IntegrationError as exc:
         raise IntegrationError(f"closed_form_vs_rk4: {exc}") from exc
-    gap = float(np.max(np.abs(mu_cf - mu_rk4)))
+    # each check works in the RK4 buffer or in dmu, not in fresh (N, 8) arrays
+    gap = float(np.max(np.abs(np.subtract(mu_rk4, mu_cf, out=mu_rk4), out=mu_rk4)))
 
-    dmu = _central_difference(lambda t: closed_form_path(a0, omega, t, cvals), ts, h_fd)
-    lax_res = float(np.max(_norm(dmu - mu_cf @ generator.T, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dmu = _times_k(rows, k @ aux_generator(omega), scale)  # exactly d(mu)/dt
+        dmu -= np.matmul(mu_cf, generator.T, out=mu_rk4)
+    _require_finite("lax_equation_residual", dmu, ts)
+    lax_res = float(np.max(_norm(dmu, axis=1, out=mu_rk4)))
 
-    norms = _norm(mu_cf, axis=1)
-    norm_drift = float(np.max(np.abs(norms - norms[0])))
+    norms = _norm(mu_cf, axis=1, out=mu_rk4)
+    norm_drift = float(np.max(np.abs(np.subtract(norms, norms[0], out=norms), out=norms)))
 
     try:
         _, qp = rk4_linear_path(hamilton_generator(omega), [s0.q, s0.p], t_end, steps)
@@ -363,7 +374,7 @@ def verify_lax_representation(
         "omega": omega,
         "q0": s0.q,
         "p0": s0.p,
-        "c": [float(x) for x in cvals],
+        "c": [float(x) for x in params.values],
         "t_end": float(t_end),
         "steps": int(steps),
         "tol": float(tol),

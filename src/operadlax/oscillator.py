@@ -178,14 +178,15 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
     matrix P = sum_{k<=4} (h a)^k / k!, the method's stability polynomial,
     so the trajectory is y_k = P^k y0: still RK4 with the same truncation
     error, only rounded differently.  P is built once by Horner's rule and
-    the rows are filled by doubling, ys[m:2m] = ys[:m] @ (P^m)^T, which
-    takes O(log steps) matrix products (Moler & Van Loan, "Nineteen dubious
-    ways to compute the exponential of a matrix", 2003).  Squaring stops at
-    the last finite power of P; later rows are filled in blocks of that
-    power, so an overflowing power never reports a step before the state
-    itself turns non-finite.  The step named is the first whose state is
-    non-finite; ``rk4_path`` can stop one step earlier when its stage
-    values (such as a @ y) overflow before the state does.
+    the rows are filled in place by doubling, ys[m:2m] = ys[:m] @ (P^m)^T,
+    which takes O(log steps) matrix products (Moler & Van Loan, "Nineteen
+    dubious ways to compute the exponential of a matrix", 2003), then one
+    scan for non-finite rows.  Squaring stops at the last finite power of P;
+    later rows are filled in blocks of that power, so an overflowing power
+    never reports a step before the state itself turns non-finite.  The
+    step named is the first whose state is non-finite; ``rk4_path`` can
+    stop one step earlier when its stage values (such as a @ y) overflow
+    before the state does.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -205,14 +206,7 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
         while m <= steps:
             # rows [m, m + count) are P^stride times rows [m - stride, ...)
             count = min(stride, steps + 1 - m)
-            block = ys[m - stride : m - stride + count] @ power.T
-            if not np.isfinite(block).all():
-                # the row scan runs only to name the first non-finite step
-                k = m + int(np.argmin(np.isfinite(block).all(axis=1)))
-                raise IntegrationError(
-                    f"non-finite state at step {k} (t = {ts[k]:.6g})"
-                )
-            ys[m : m + count] = block
+            np.matmul(ys[m - stride : m - stride + count], power.T, out=ys[m : m + count])
             m += count
             # square only while the rows still double; after a non-finite
             # square m passes 2 * stride and the power stays fixed
@@ -220,6 +214,11 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
                 squared = power @ power
                 if np.isfinite(squared).all():
                     power, stride = squared, m
+    if not np.isfinite(ys[1:]).all():
+        # rows are only ever built from earlier rows, so the first
+        # non-finite one is the step where the state turned
+        k = 1 + int(np.argmin(np.isfinite(ys[1:]).all(axis=1)))
+        raise IntegrationError(f"non-finite state at step {k} (t = {ts[k]:.6g})")
     return ts, ys
 
 

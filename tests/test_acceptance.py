@@ -112,9 +112,7 @@ def test_criterion_3_closed_form_representation():
     worst_gap, worst_lax = 0.0, 0.0
     for _ in range(20):
         params = SolutionParams(rng.uniform(-1, 1, 8))
-        rep = verify_lax_representation(
-            params, CANONICAL, TWO_PI, 10 ** 4, 1e-6, h_fd=1e-4
-        )
+        rep = verify_lax_representation(params, CANONICAL, TWO_PI, 10 ** 4, 1e-6)
         values = {c.name: c.max_residual for c in rep.checks}
         worst_gap = max(worst_gap, values["closed_form_vs_rk4"])
         worst_lax = max(worst_lax, values["lax_equation_residual"])

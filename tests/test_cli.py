@@ -573,6 +573,21 @@ def test_verify_names_the_first_overflowing_sample(tmp_path, capsys):
     ]
 
 
+def test_verify_overflowing_derivative_is_one_error_line(tmp_path, capsys):
+    # the closed form is finite (|mu| about 4e305), but d(mu)/dt and
+    # [M, mu] reach past the largest double at omega = 1000
+    path = write_config(tmp_path)
+    argv = ["verify", str(path), "--c", ",".join(["1e307"] * 8), "--q0", "0",
+            "--p0", "1e-4", "--omega", "1000", "--t-end", "0.00628", "--steps", "1000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: lax_equation_residual: non-finite value at sample 0 (t = 0)"
+    ]
+
+
 @pytest.mark.parametrize("argv, line", [
     (["verify", "{config}", "--q0", "1e200"],
      "error: closed_form: non-finite value at sample 0 (t = 0)"),

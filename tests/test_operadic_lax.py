@@ -3,6 +3,7 @@ and the end-to-end verification pipeline."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from operadlax import (
     StructureConstants2,
     aux_algebraic,
     aux_exact_flow,
+    aux_generator,
     classical_lax_residual,
     closed_form_mu,
     closed_form_path,
@@ -25,8 +27,10 @@ from operadlax import (
     g_values,
     grid_lax_residual,
     hamiltonian,
+    lax_generator,
     lax_rhs_index,
     m_matrix,
+    operadic_lax,
     pde_residual,
     verify_lax_representation,
 )
@@ -344,6 +348,102 @@ def test_on_shell_residual_vanishes():
             assert np.abs(resid).max() <= 1e-10
 
 
+def k_columns(c) -> list[list[Fraction]]:
+    """K(C) as exact fractions, column j being the family at a = e_j."""
+    params = SolutionParams(c)
+    cols = [closed_form_mu(AuxValues(*np.eye(4)[j]), params).values for j in range(4)]
+    return [[Fraction(cols[j][i]) for j in range(4)] for i in range(8)]
+
+
+def fraction_matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gauss-Jordan elimination in exact arithmetic."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+# at omega = 2 both generators have small integer entries, so their floats
+# are exact; both are linear in omega, so an identity at 2 holds at every omega
+A2 = [[Fraction(x) for x in row] for row in lax_generator(2.0)]
+R2 = [[Fraction(x) for x in row] for row in aux_generator(2.0)]
+
+
+def test_closed_form_intertwines_lax_and_rotation_generators_exactly():
+    # A(2) K(C) = K(C) R(2) in exact arithmetic: with a' = R a, the family
+    # mu = K(C) a then obeys mu' = K(C) R a = A mu, which is what
+    # verify's lax_equation_residual compares in floating point
+    rng = np.random.default_rng(16)
+    cs = [np.eye(8)[i] for i in range(8)] + [rng.integers(-9, 10, 8) for _ in range(20)]
+    for c in cs:
+        k = k_columns(c)
+        assert fraction_matmul(A2, k) == fraction_matmul(k, R2)
+
+
+def test_intertwiner_null_space_is_the_family():
+    # X -> A X - X R on 8x4 matrices has an 8-dimensional null space, and
+    # the eight K(e_i) span it: every solution of the form K a is a member
+    # of the family
+    images = []
+    for e in np.eye(32):
+        x = [[Fraction(v) for v in row] for row in e.reshape(8, 4)]
+        ax, xr = fraction_matmul(A2, x), fraction_matmul(x, R2)
+        images.append([p - q for row_p, row_q in zip(ax, xr) for p, q in zip(row_p, row_q)])
+    assert 32 - fraction_rank(images) == 8
+    family = [[v for row in k_columns(np.eye(8)[i]) for v in row] for i in range(8)]
+    assert fraction_rank(family) == 8
+
+
+def test_verify_lax_check_cannot_see_a_wrong_rotation_law(monkeypatch):
+    """A closed form along a wrong aux flow: (D+, D-) at 1.0001 * 3 omega / 2.
+
+    closed_form_vs_rk4 catches it, since RK4 integrates the Lax equation
+    itself from the t = 0 value.  lax_equation_residual compares K(C) R a
+    with A K(C) a on the same samples, so it checks A K(C) = K(C) R, not
+    the time dependence of a, and stays at rounding.
+    """
+    def wrong_flow(a0, omega, t):
+        x, y = 0.5 * omega * t, 1.0001 * 1.5 * omega * t
+        c1, s1, c3, s3 = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
+        return AuxValues(a0.a_plus * c1 - a0.a_minus * s1, a0.a_minus * c1 + a0.a_plus * s1,
+                         a0.d_plus * c3 - a0.d_minus * s3, a0.d_minus * c3 + a0.d_plus * s3)
+
+    monkeypatch.setattr(operadic_lax, "aux_exact_flow", wrong_flow)
+    params = SolutionParams(np.random.default_rng(17).uniform(-1, 1, 8))
+    rep = verify_lax_representation(params, CANONICAL, 2 * math.pi, 10**4, 1e-7)
+    checks = {c.name: c for c in rep.checks}
+    # the true flow's gap on this grid is 2.0e-12; the wrong one's, 9.4e-4
+    assert not checks["closed_form_vs_rk4"].passed
+    assert checks["closed_form_vs_rk4"].max_residual > 1e-4
+    assert checks["lax_equation_residual"].max_residual <= 1e-14
+
+
+@pytest.mark.parametrize("s0, periods", [
+    (OscState(0.3, 0.7, 20.0), 5),  # a finite-difference step of 1e-4 gave 6.2e-4
+    (OscState(0.0, 2000.0, 1.0), 1),  # |mu| about 1e5; a step of 1e-4 gave 4.7e-4
+], ids=["omega-20", "p0-2000"])
+def test_verify_lax_residual_needs_no_step(s0, periods):
+    # the exact derivative leaves only rounding at high frequency and at
+    # large amplitude; only the Lax check's verdict is asserted here
+    params = SolutionParams(np.random.default_rng(18).uniform(-1, 1, 8))
+    t_end = periods * 2 * math.pi / s0.omega
+    rep = verify_lax_representation(params, s0, t_end, 10**4, 1e-7)
+    lax = {c.name: c for c in rep.checks}["lax_equation_residual"]
+    assert lax.max_residual <= 1e-7 and lax.passed
+
+
 def test_grid_lax_residual_scales_past_overflowing_squares():
     # 2**600 scales every entry exactly; the squares in the norm (past 2**1200)
     # overflow, so the rows are recomputed from their scaled entries
@@ -474,9 +574,6 @@ def test_pde_residual_norm_does_not_overflow():
 
 
 STEP_CHECKED = {
-    "verify_lax_representation": lambda h: verify_lax_representation(
-        SolutionParams(np.ones(8)), CANONICAL, 1.0, 10, 1e-6, h_fd=h
-    ),
     "pde_residual": lambda h: pde_residual(SolutionParams(np.ones(8)), CANONICAL, h),
     "classical_lax_residual": lambda h: classical_lax_residual(CANONICAL, 0.5, h),
     "g_residuals": lambda h: g_residuals(CANONICAL, 0.5, h),

@@ -78,9 +78,9 @@ EDGE_CONFIGS = [
 
 
 # bad input (exit 2) and numeric failures (exit 1): the bad-input cases of
-# tests/test_cli.py plus the closed form overflowing at t = 0, and H
-# overflowing at q0 = 1e200 (appended last, so earlier labels keep their
-# commands)
+# tests/test_cli.py plus the closed form overflowing at t = 0, H
+# overflowing at q0 = 1e200, and a finite closed form whose d(mu)/dt
+# overflows (each appended last, so earlier labels keep their commands)
 BIG = "1" + "0" * 400
 ERROR_CONFIGS = {
     "base": json.dumps({"omega": 1.0, "q0": 0.0, "p0": 2.0, "t_end": 6.283185307179586,
@@ -111,6 +111,8 @@ ERROR_ARGV = [
     ["verify", "{huge_c}"],
     ["verify", "{base}", "--q0", "1e200"],
     ["simulate", "--q0", "1e200", "--c", "1,0,0,0,0,0,0,0"],
+    ["verify", "{base}", "--c", ",".join(["1e307"] * 8), "--q0", "0", "--p0", "1e-4",
+     "--omega", "1000", "--t-end", "0.00628", "--steps", "1000"],
 ]
 
 

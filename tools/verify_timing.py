@@ -2,8 +2,10 @@
 
 One ``verify`` request samples [0, t_end] at steps + 1 times and runs:
 
-* ``closed_form``  - the closed form on the three time grids ts, ts + h_fd
-  and ts - h_fd (the samples and the central difference of the Lax check);
+* ``closed_form``  - the aux flow and the closed form K(C) a on the sample
+  times ts, evaluated once;
+* ``derivative``   - the exact d(mu)/dt of the Lax check, K(C) applied to
+  the aux rates R a (R = ``aux_generator``), precomputed here;
 * ``rk4_mu``       - the RK4 run of mu under the Lax generator;
 * ``rk4_qp``       - the RK4 run of (q, p) under Hamilton's generator;
 * ``norms``        - ``grid_lax_residual`` of the sampled mu: one row norm
@@ -23,13 +25,17 @@ trees and shows where the time goes before and after a change:
 import argparse
 import math
 import timeit
+from dataclasses import astuple
 
 import numpy as np
 
 from operadlax import (
+    AuxValues,
     OscState,
     SolutionParams,
     aux_algebraic,
+    aux_exact_flow,
+    aux_generator,
     closed_form_path,
     grid_lax_residual,
     hamilton_generator,
@@ -39,7 +45,6 @@ from operadlax import (
 )
 
 STEPS = (1_000, 10_000)
-H_FD = 1e-4  # verify_lax_representation's default
 LOOP_SECONDS = 2e-2  # each run loops a call this long
 
 
@@ -58,9 +63,10 @@ def stages(steps: int):
     a0 = aux_algebraic(s0)
     c = params.values
     mu = closed_form_path(a0, omega, ts, c)
+    rates = AuxValues(*(aux_generator(omega) @ np.array(astuple(aux_exact_flow(a0, omega, ts)))))
     return {
-        "closed_form": lambda: [closed_form_path(a0, omega, t, c)
-                                for t in (ts, ts + H_FD, ts - H_FD)],
+        "closed_form": lambda: closed_form_path(a0, omega, ts, c),
+        "derivative": lambda: closed_form_path(a0, omega, ts, c, aux=rates),
         "rk4_mu": lambda: rk4_linear_path(lax_generator(omega), mu[0], t_end, steps),
         "rk4_qp": lambda: rk4_linear_path(hamilton_generator(omega), [s0.q, s0.p],
                                           t_end, steps),
