@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterator
 from types import SimpleNamespace
 
 import numpy as np
@@ -283,9 +284,11 @@ def _shortest(x: np.ndarray, tab: SimpleNamespace):
     return d, kidx, slow
 
 
-def _block(x: np.ndarray, layout: SimpleNamespace, tab: SimpleNamespace) -> bytes:
+def _block(x: np.ndarray, layout: SimpleNamespace, tab: SimpleNamespace,
+           buf: np.ndarray) -> np.ndarray:
     """The fields of the flat row-major block ``x``, each after the text
-    that comes before it, as ``layout`` gives them."""
+    that comes before it, as ``layout`` gives them: one NUL-padded row of
+    ``buf``'s bytes per field."""
     d, kidx, slow = layout.decide(x, tab)
     # d's digits as groups g0 = d0, g1 = d1..d4, g2 = d5..d8, g3, g4
     upper = (d // 10**8).astype(np.uint32)
@@ -298,7 +301,7 @@ def _block(x: np.ndarray, layout: SimpleNamespace, tab: SimpleNamespace) -> byte
     g4 = lower - g3 * 10**4
 
     digits = layout.width + 1  # the word of d1..d4
-    buf = np.empty((x.size, digits + WORDS - 1), dtype=np.uint64)
+    buf = buf[:x.size]
     g0 += np.signbit(x) * np.uint32(10)  # the second ten of each column's heads have '-'
     g0 += layout.column[:x.size]
     buf[:, :digits] = np.take(layout.heads, g0, axis=0)
@@ -319,18 +322,19 @@ def _block(x: np.ndarray, layout: SimpleNamespace, tab: SimpleNamespace) -> byte
         text = layout.template % float(x[i])
         chars[i, start:] = 0
         chars[i, start:start + len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return chars.tobytes().translate(None, b"\0")
+    return chars
 
 
 def _format(table: np.ndarray, before: list[bytes], first: bytes, end: bytes,
-            style: SimpleNamespace) -> str:
+            style: SimpleNamespace) -> Iterator[bytes]:
     """The fields of the 2-d float table in ``style``, each after
-    ``before[column]`` (``first`` in place of ``before[0]`` in the first
-    row), then ``end``."""
+    ``before[column]`` (``first``, no longer than ``before[0]``, in place of
+    it in the first row), then ``end``: one ASCII chunk per block of rows,
+    made as it is asked for, and ``end`` last."""
     tab = _tables()
     rows, columns = table.shape
     if not rows:
-        return ""
+        return
     # per column, sign and d0: all but the last byte of the text before the
     # field in whole words, NUL-padded, then the field's word 0 with that byte
     width = -(-max(len(b) - 1 for b in before) // 8)
@@ -340,32 +344,39 @@ def _format(table: np.ndarray, before: list[bytes], first: bytes, end: bytes,
     heads = np.concatenate([np.broadcast_to(text, (columns, 20, width)),
                             tab.head[None, :, None] | sep], axis=2)
     ones = np.full((len(style.masks), width), 2**64 - 1, dtype=np.uint64)
+    block_rows = min(rows, BLOCK_ROWS)
     layout = SimpleNamespace(
         **{**vars(style), "masks": np.hstack([ones, style.masks])},
         width=width, heads=heads.reshape(20 * columns, width + 1),
-        column=np.tile(np.arange(0, 20 * columns, 20, dtype=np.uint32), min(rows, BLOCK_ROWS)),
+        column=np.tile(np.arange(0, 20 * columns, 20, dtype=np.uint32), block_rows),
     )
+    # one working buffer for every block of the table
+    buf = np.empty((block_rows * columns, width + WORDS), dtype=np.uint64)
     flat = np.ascontiguousarray(table, dtype=np.float64).reshape(-1)
     step = BLOCK_ROWS * columns
-    # each block's bytes are freed once decoded: the text is held twice at most
-    blocks = [_block(flat[i:i + step], layout, tab).decode("ascii")
-              for i in range(0, flat.size, step)]
-    blocks[0] = first.decode("ascii") + blocks[0][len(before[0]):]
-    blocks.append(end.decode("ascii"))
-    return "".join(blocks)
+    for i in range(0, flat.size, step):
+        chars = _block(flat[i:i + step], layout, tab, buf)
+        if i == 0:  # the bytes kept before the first field hold ``first``
+            chars[0, :8 * width + 1] = np.frombuffer(first.ljust(8 * width + 1, b"\0"),
+                                                     dtype=np.uint8)
+        yield chars.tobytes().translate(None, b"\0")
+    yield end
 
 
-def format_rows(table: np.ndarray) -> str:
+def format_rows(table: np.ndarray) -> Iterator[bytes]:
     """Each row of the 2-d float table as ``"%.17g"`` fields joined by
-    commas and ended by a newline, byte for byte as ``%`` writes them."""
+    commas and ended by a newline, byte for byte as ``%`` writes them, in
+    ASCII chunks of up to ``BLOCK_ROWS`` rows."""
     before = [b"\n"] + [b","] * (table.shape[1] - 1)
     return _format(table, before, b"", b"\n", _tables().csv)
 
 
-def format_json(table: np.ndarray, names: list[str]) -> str:
+def format_json(table: np.ndarray, names: list[str]) -> Iterator[bytes]:
     """``json.dumps(rows, indent=2) + "\\n"`` for the rows of the 2-d
-    finite float table as objects keyed by ``names``, byte for byte."""
+    finite float table as objects keyed by ``names``, byte for byte, in
+    ASCII chunks of up to ``BLOCK_ROWS`` rows."""
+    if not len(table):
+        return iter([b"[]\n"])
     keys = [json.dumps(name).encode() for name in names]
     before = [b"\n  },\n  {\n    %s: " % keys[0]] + [b",\n    %s: " % key for key in keys[1:]]
-    text = _format(table, before, b"[\n  {\n    %s: " % keys[0], b"\n  }\n]\n", _tables().json)
-    return text or "[]\n"
+    return _format(table, before, b"[\n  {\n    %s: " % keys[0], b"\n  }\n]\n", _tables().json)

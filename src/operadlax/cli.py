@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -256,9 +257,10 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
     return [ts, q, p, energies, *aux, *mu.T, resid]
 
 
-def _format_table(table: np.ndarray, fmt: str) -> str:
+def _table_chunks(table: np.ndarray, fmt: str) -> Iterator[bytes]:
     """The finite sample table as CSV (``%.17g``) or as ``json.dumps(rows,
-    indent=2)`` of one object per row, byte for byte.
+    indent=2)`` of one object per row, byte for byte, in ASCII chunks of
+    up to ``_g17.BLOCK_ROWS`` rows, each made as it is asked for.
 
     Both run through vectorised kernels in ``_g17``: CSV prints each value's
     17-digit rounding, JSON the shortest digits that read back as the value
@@ -269,8 +271,15 @@ def _format_table(table: np.ndarray, fmt: str) -> str:
     covers) back to ``%``, as ``%.17g`` or ``%r``, one at a time.
     """
     if fmt == "csv":
-        return CSV_HEADER + "\n" + format_rows(table)
-    return format_json(table, CSV_HEADER.split(","))
+        yield CSV_HEADER.encode("ascii") + b"\n"
+        yield from format_rows(table)
+    else:
+        yield from format_json(table, CSV_HEADER.split(","))
+
+
+def _format_table(table: np.ndarray, fmt: str) -> str:
+    """The text ``simulate`` writes for the finite sample table, whole."""
+    return b"".join(_table_chunks(table, fmt)).decode("ascii")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -280,13 +289,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         bad = int(np.argmin(np.isfinite(table).all(axis=1)))  # the first bad sample
         raise IntegrationError(f"non-finite value in sample {bad}")
 
-    text = _format_table(table, cfg.format)
+    # each block is written as it is made: the text is never held whole
+    chunks = _table_chunks(table, cfg.format)
     if cfg.out == "-":
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode("ascii"))
         return 0
     try:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        with open(cfg.out, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise ValueError(f"cannot write {cfg.out}: {exc}") from None
     return 0

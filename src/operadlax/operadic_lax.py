@@ -279,11 +279,16 @@ def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     Second-order central differences inside, second-order one-sided at the
     endpoints, so the result scales as dt^2 for smooth trajectories.
     """
-    dmu = np.empty_like(mu)
-    dmu[1:-1] = (mu[2:] - mu[:-2]) / (2.0 * dt)
-    dmu[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
-    dmu[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
-    return _norm(dmu - mu @ lax_generator(omega).T, axis=1)
+    # d(mu)/dt and then the residual in one array, whose rows the norm
+    # squares into the freed bracket
+    res = np.empty(mu.shape)
+    np.subtract(mu[2:], mu[:-2], out=res[1:-1])
+    np.divide(res[1:-1], 2.0 * dt, out=res[1:-1])
+    res[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
+    res[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
+    bracket = mu @ lax_generator(omega).T
+    np.subtract(res, bracket, out=res)
+    return _norm(res, axis=1, out=bracket)
 
 
 def _require_finite(stage: str, values: np.ndarray, ts: np.ndarray) -> None:

@@ -216,6 +216,32 @@ def test_format_table_matches_reference_formatters():
         assert cli._format_table(table, "json") == reference_json(table)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2048, 2049])
+def test_simulate_writes_the_same_bytes_to_file_and_stdout(tmp_path, capsys, monkeypatch,
+                                                           rows, fmt):
+    # tables of one row, two rows and around the formatter's block edges
+    # (1024 rows); simulate itself never makes fewer than three rows
+    cfg = cli.RunConfig(omega=1.7, q0=0.4, p0=-1.2, t_end=37.0, steps=2048, seed=14)
+    table = np.column_stack(cli._simulate_samples(cfg, "exact"))[:rows]
+    monkeypatch.setattr(cli, "_simulate_samples", lambda cfg, integrator: list(table.T))
+    code, out, err = run(capsys, ["simulate", "--format", fmt])
+    assert (code, err) == (0, "")
+    path = tmp_path / f"table.{fmt}"
+    assert run(capsys, ["simulate", "--format", fmt, "--out", str(path)]) == (0, "", "")
+    reference = reference_csv if fmt == "csv" else reference_json
+    assert path.read_bytes() == out.encode() == reference(table).encode()
+
+
+def test_simulate_non_finite_sample_writes_no_file(tmp_path, capsys):
+    # H overflows at q0 = 1e200: the scan fails before any output is opened
+    path = tmp_path / "table.csv"
+    code, out, err = run(capsys, ["simulate", "--q0", "1e200", "--c", C1, "--out", str(path)])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: non-finite value in sample 0"]
+    assert not path.exists()
+
+
 def g17_edge_values(rng):
     """Doubles at the edges of the vectorised %.17g kernel and its fallback."""
     bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
@@ -625,10 +651,12 @@ def test_huge_finite_closed_form_has_finite_norms(tmp_path, capsys):
     assert np.isfinite(data[:, cols.index("lax_residual")]).all()
 
 
-@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "simulate-blocks"])
 def test_closed_stdout_exits_one_quietly(tmp_path, command):
+    # simulate-blocks writes three blocks of rows, one at a time
     argv = {"simulate": ["simulate", "--steps", "5"],
-            "verify": ["verify", str(write_config(tmp_path, steps=100))]}[command]
+            "verify": ["verify", str(write_config(tmp_path, steps=100))],
+            "simulate-blocks": ["simulate", "--steps", "3000"]}[command]
     # the read end is closed before the child starts, so its first write fails
     read_end, write_end = os.pipe()
     os.close(read_end)

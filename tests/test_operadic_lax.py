@@ -444,6 +444,27 @@ def test_verify_lax_residual_needs_no_step(s0, periods):
     assert lax.max_residual <= 1e-7 and lax.passed
 
 
+def grid_lax_residual_reference(mu, dt, omega):
+    """The residual as a fresh array per step: the stencil, then d(mu)/dt - [M, mu]."""
+    dmu = np.empty_like(mu)
+    dmu[1:-1] = (mu[2:] - mu[:-2]) / (2.0 * dt)
+    dmu[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
+    dmu[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
+    return operadic_lax._norm(dmu - mu @ lax_generator(omega).T, axis=1)
+
+
+@pytest.mark.parametrize("rows", [3, 4, 7, 1001, 10001])
+def test_grid_lax_residual_keeps_the_reference_bits(rows):
+    rng = np.random.default_rng(rows)
+    for _ in range(3):
+        dt, omega = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-1, 1)
+        mu = rng.standard_normal((rows, 8)) * 10.0 ** rng.uniform(-3, 3, 8)
+        # C and Fortran order, and entries whose squares overflow
+        for sample in (mu, np.asfortranarray(mu), 2.0**600 * mu):
+            got = grid_lax_residual(sample, dt, omega)
+            assert got.tobytes() == grid_lax_residual_reference(sample, dt, omega).tobytes()
+
+
 def test_grid_lax_residual_scales_past_overflowing_squares():
     # 2**600 scales every entry exactly; the squares in the norm (past 2**1200)
     # overflow, so the rows are recomputed from their scaled entries

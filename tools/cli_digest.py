@@ -1,6 +1,7 @@
 """Print one SHA-256 per CLI run over a fixed, seeded corpus of commands.
 
-Each line is ``<label> <sha256 of exit code, stdout and stderr>``; an
+Each line is ``<label> <sha256 of exit code, stdout and stderr>``, and of
+the output file's bytes for the ``simulate-out-*`` labels; an
 uncaught exception is hashed as its type and message in place of the exit
 code, so a tree whose CLI raises can be digested too.  Each command runs
 under a fresh ``"always"`` warning filter, so the warnings it leaks are
@@ -25,7 +26,10 @@ from pathlib import Path
 from operadlax import cli
 
 
-def run(argv):
+def run(argv, out_path=None):
+    """The digest of one command; with ``out_path``, the bytes of that file
+    after the command (or the mark that it holds none) are hashed too, and
+    the file is removed."""
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings()):
@@ -36,7 +40,14 @@ def run(argv):
             code = exc.code
         except Exception as exc:
             code = f"{type(exc).__name__}: {exc}"
-    return hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()).hexdigest()
+    digest = hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
+    if out_path is not None:
+        if out_path.exists():
+            digest.update(b"\nfile\n" + out_path.read_bytes())
+            out_path.unlink()
+        else:
+            digest.update(b"\nno file\n")
+    return digest.hexdigest()
 
 
 def run_config(rng):
@@ -75,6 +86,12 @@ EDGE_CONFIGS = [
     {"omega": 2.0, "q0": 0.5, "p0": -0.25, "t_end": 1.0, "steps": 8,
      "c": [0.5, -0.25, 0.75, 0.0, -1.0, 0.125, 0.25, -0.5]},
 ]
+
+
+# simulate --out at step counts across the formatter's row blocks (1024
+# rows each): 1023 to 20001 rows, a block's last row and the next one's first
+OUT_CONFIG = {"omega": 1.7, "q0": 0.4, "p0": -1.2, "t_end": 37.0, "seed": 14}
+OUT_STEPS = [1022, 1023, 1024, 2047, 2048, 20000]
 
 
 # bad input (exit 2) and numeric failures (exit 1): the bad-input cases of
@@ -170,6 +187,16 @@ def main():
         print(f"axioms-bench-{k}", run(argv))
     for k, argv in enumerate(PARSER_ARGV):
         print(f"parser-{k}", run(argv))
+    # appended last, so earlier labels keep their places
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_path = Path(tmp) / "cfg.json", Path(tmp) / "table.out"
+        path.write_text(json.dumps(OUT_CONFIG))
+        for steps in OUT_STEPS:
+            for integrator in ("exact", "rk4"):
+                for fmt in ("csv", "json"):
+                    argv = ["simulate", "--config", str(path), "--steps", str(steps),
+                            "--integrator", integrator, "--format", fmt, "--out", str(out_path)]
+                    print(f"simulate-out-{steps}-{integrator}-{fmt}", run(argv, out_path))
 
 
 if __name__ == "__main__":

@@ -5,16 +5,23 @@
 #     tools/digest_diff.sh [REV]
 #
 # REV's src/ is extracted with git archive into a temporary directory that is
-# removed on exit; the digest corpus is the working tree's.  Nothing is
-# written inside the repository.
+# removed on exit.  Each side runs its own tools/cli_digest.py corpus (the
+# working tree's for REV when REV has none), so a label only one side has
+# is listed as (new) or (gone).  Nothing is written inside the repository.
 set -euo pipefail
 rev="${1:-HEAD}"
 root="$(git rev-parse --show-toplevel)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 export PYTHONDONTWRITEBYTECODE=1
-git -C "$root" archive "$rev" src | tar -x -C "$tmp"
-PYTHONPATH="$tmp/src" python3 "$root/tools/cli_digest.py" > "$tmp/rev.txt"
+corpus="$root/tools/cli_digest.py"
+if git -C "$root" cat-file -e "$rev:tools/cli_digest.py" 2>/dev/null; then
+    git -C "$root" archive "$rev" src tools/cli_digest.py | tar -x -C "$tmp"
+    corpus="$tmp/tools/cli_digest.py"
+else
+    git -C "$root" archive "$rev" src | tar -x -C "$tmp"
+fi
+PYTHONPATH="$tmp/src" python3 "$corpus" > "$tmp/rev.txt"
 PYTHONPATH="$root/src" python3 "$root/tools/cli_digest.py" > "$tmp/tree.txt"
 awk 'NR == FNR { rev[$1] = $2; next }
      !($1 in rev) { print $1 " (new)"; n++; next }
