@@ -72,7 +72,8 @@ class Operation:
 
 def _check_finite(arr: np.ndarray, entry: str = "coefficient at flat index") -> np.ndarray:
     """``arr``, or a ValueError naming its first non-finite ``entry``."""
-    if not np.isfinite(arr).all():
+    # count_nonzero takes half the time of all() on an operation's few entries
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
         raise ValueError(f"non-finite {entry} {bad}")
     return arr
@@ -125,10 +126,18 @@ def frobenius_norm(f: Operation) -> float:
     return float(_norm(f.coeffs))
 
 
-def _norm(x: np.ndarray, axis: int | None = None, out=None) -> np.ndarray | np.floating:
+def _norm(x: np.ndarray, axis: int | None = None, out=None) -> np.ndarray | float:
     """``np.linalg.norm(x, axis=axis)`` without overflow or warnings: a norm
     made infinite by squaring finite entries (above ~1e154) is recomputed scaled
     by the largest magnitude, others keep their bits; (N, 8) rows square into out."""
+    if axis is None and x.dtype == np.float64:
+        # np.linalg.norm's sum of squares is the BLAS dot of the flat entries;
+        # vdot takes that dot without numpy's floating-point error check, so a
+        # finite norm needs no errstate
+        flat = x.ravel(order="K")
+        norm = math.sqrt(np.vdot(flat, flat))
+        if math.isfinite(norm):
+            return norm
     with np.errstate(over="ignore", invalid="ignore"):
         if axis == 1 and x.shape[1:] == (8,) and x.flags.c_contiguous:
             # the row norms of (N, 8) samples, summed in numpy's pairwise

@@ -314,8 +314,10 @@ def _residual_norms(res: np.ndarray) -> list[float]:
 
 def _residual_norm(res: np.ndarray) -> float:
     """``_residual_norms`` of one flattened residual."""
-    sq = float(res.dot(res))
-    return math.sqrt(sq) if math.isfinite(sq) else float(_norm(_check_finite(res)))
+    norm = float(_norm(res))
+    if not math.isfinite(norm):  # a non-finite entry, or squares past rescaling
+        _check_finite(res)
+    return norm
 
 
 def _dim(*ops: Operation) -> int:

@@ -86,6 +86,33 @@ def test_axioms_fails_with_impossible_tol(capsys):
     assert "FAIL" in out
 
 
+def random_operations_reference(rng, dim_max, deg_max, size=None):
+    """The draw before it was grouped: one normal call per operation."""
+    d = int(rng.integers(1, dim_max + 1))
+    degs = np.atleast_1d(rng.integers(1, deg_max + 1, size=size))
+    return [operadlax.Operation(d, int(n), rng.standard_normal((d,) * (int(n) + 1)))
+            for n in degs]
+
+
+@pytest.mark.parametrize("dim_max", [1, 2, 3])
+@pytest.mark.parametrize("deg_max", [1, 2, 3])
+def test_grouped_draw_takes_the_same_numbers(dim_max, deg_max):
+    # one trial's draws, twice over: a triple, a scalar draw, and a triple of
+    # which two are kept; the stream must stand where it stood before
+    calls = [(3, None), (None, None), (3, 2)] * 2
+    for seed in range(100):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size, kept in calls:
+            got = cli._random_operations(got_rng, dim_max, deg_max, size)[:kept]
+            want = random_operations_reference(want_rng, dim_max, deg_max, size)[:kept]
+            assert len(got) == len(want) == (kept or size or 1)
+            for op, ref in zip(got, want):
+                assert (op.dim, op.degree) == (ref.dim, ref.degree)
+                assert op.coeffs.shape == ref.coeffs.shape
+                assert op.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 # -------------------------------------------------------------- simulate --
 
 

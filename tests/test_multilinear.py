@@ -1,5 +1,6 @@
 """Construction, evaluation and linear algebra of dense multilinear operations."""
 
+import math
 import warnings
 
 import numpy as np
@@ -166,6 +167,38 @@ def test_frobenius_norm_homogeneous():
         assert frobenius_norm(scaled) == pytest.approx(
             abs(a) * frobenius_norm(f), rel=1e-15
         )
+
+
+def norm_reference(x):
+    """np.linalg.norm, rescaled by the largest magnitude where the squares overflow."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x)
+        if not np.isfinite(norm):
+            scale = np.max(np.abs(x))
+            norm = scale * np.linalg.norm(x / scale)
+    return float(norm)
+
+
+def test_frobenius_norm_keeps_numpy_bits_at_every_scale():
+    rng = np.random.default_rng(11)
+    overflowed = underflowed = 0
+    for d in (1, 2, 3):
+        for degree in (1, 2, 3):
+            base = rng.standard_normal(d ** (degree + 1))
+            for k in range(-300, 301, 25):
+                f = Operation(d, degree, base * 10.0 ** k)
+                with np.errstate(over="ignore"):
+                    plain = float(np.linalg.norm(f.coeffs))
+                got = frobenius_norm(f)
+                assert float.hex(got) == float.hex(norm_reference(f.coeffs))
+                if math.isfinite(plain):
+                    assert float.hex(got) == float.hex(plain)
+                else:
+                    overflowed += 1
+                    assert math.isfinite(got) and got > 0.0
+                underflowed += got == 0.0
+    # the scales reach both the rescaled path and squares that underflow to 0
+    assert overflowed and underflowed
 
 
 @pytest.mark.parametrize("rows", [0, 1, 7, 2000])

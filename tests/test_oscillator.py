@@ -253,6 +253,30 @@ def test_lax_matrix_shape_invariants():
         )
 
 
+def classical_intertwining(omega):
+    """(J·H, ad_M·J): J maps (q, p) to L's four entries, H is Hamilton's
+    generator and ad_M = kron(M, I) - kron(I, Mᵀ) acts on L row by row."""
+    j = np.column_stack([lax_matrices(OscState(q, p, omega))[0].coeffs.ravel()
+                         for q, p in ((1.0, 0.0), (0.0, 1.0))])
+    m = m_matrix(omega).coeffs
+    ad_m = np.kron(m, np.eye(2)) - np.kron(np.eye(2), m.T)
+    return j @ hamilton_generator(omega), ad_m @ j
+
+
+def test_classical_lax_pair_intertwines_exactly():
+    # J·H = ad_M·J is the classical Lax equation dL/dt = [M, L] for all (q, p)
+    jh, ad_j = classical_intertwining(2.0)
+    assert jh.shape == ad_j.shape == (4, 2)
+    assert np.array_equal(jh, np.round(jh)) and np.array_equal(ad_j, np.round(ad_j))
+    np.testing.assert_array_equal(jh, ad_j)
+    assert jh.any()
+    rng = np.random.default_rng(5)
+    for omega in 10.0 ** rng.uniform(-3, 3, 50):
+        jh, ad_j = classical_intertwining(float(omega))
+        scale = max(omega, omega * omega)
+        np.testing.assert_allclose(jh, ad_j, rtol=0, atol=4 * np.finfo(float).eps * scale)
+
+
 def test_classical_lax_residual():
     assert classical_lax_residual(OscState(0, 0, 1.0), 1.0, 1e-4) == 0.0
     r = classical_lax_residual(OscState(1, 0, 1.0), 0.3, 1e-4)

@@ -16,6 +16,12 @@ kernel change:
 
     PYTHONPATH=src python tools/axioms_timing.py [--repeat N] [--shapes]
 
+Then a ``request_ms`` line gives the end-to-end figure above those layers:
+the best of N in-process times of ``cli.main(["axioms", ...])`` at the
+benchmark's shape (25 trials, deg-max 3, stdout discarded), in ms per
+request at dim-max 2, at dim-max 3 and their mean, each over the same
+fixed seeds so that two trees run the same requests.
+
 Last, it prints the bytes held by the kernel's index plans (module-level
 dicts of arrays in ``operad``) once every shape has run, and the time to
 build all of them again from empty plans.  It exits 1 if they hold more
@@ -23,7 +29,9 @@ than 1 MB.
 """
 
 import argparse
+import contextlib
 import itertools
+import os
 import time
 import timeit
 
@@ -32,6 +40,7 @@ import numpy as np
 from operadlax import (
     Operation,
     antisymmetry_residual,
+    cli,
     composition_relation_residual,
     jacobi_residual,
     operad,
@@ -42,6 +51,7 @@ DEGREES = (1, 2, 3)
 DIMS = (1, 2, 3)
 CACHE_BUDGET = 1 << 20
 LOOP_SECONDS = 2e-3  # each run loops a call this long
+REQUEST_SEEDS = range(10)  # the requests timed per dim-max, one per seed
 
 
 def relation_suite(h, f, g):
@@ -96,6 +106,23 @@ def plan_build_seconds():
     return time.perf_counter() - start
 
 
+def request_ms(dim_max, repeat):
+    """Best of ``repeat`` in-process runs of one axioms request per seed,
+    in ms per request."""
+    argvs = [["axioms", "--trials", "25", "--deg-max", "3", "--dim-max", str(dim_max),
+              "--seed", str(seed)] for seed in REQUEST_SEEDS]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for argv in argvs:  # warm-up: parser, index plans
+            cli.main(argv)
+        best = float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            for argv in argvs:
+                cli.main(argv)
+            best = min(best, time.perf_counter() - start)
+    return best / len(argvs) * 1e3
+
+
 def one_pass(table):
     for _, _, _, call in table:
         call()
@@ -130,6 +157,8 @@ def main():
             total[dim_max] += means[dim_max]
         print(f"{suite} {means[2]:.1f} {means[3]:.1f} {(means[2] + means[3]) / 2:.1f}")
     print(f"all {total[2]:.1f} {total[3]:.1f} {(total[2] + total[3]) / 2:.1f}")
+    ms = {dim_max: request_ms(dim_max, args.repeat) for dim_max in (2, 3)}
+    print(f"request_ms {ms[2]:.2f} {ms[3]:.2f} {(ms[2] + ms[3]) / 2:.2f}")
     held = plan_bytes()
     print(f"plan_bytes {held} plan_build_ms {plan_build_seconds() * 1e3:.2f}")
     if held > CACHE_BUDGET:
