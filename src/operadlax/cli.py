@@ -260,10 +260,12 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
         aux = rk4(aux_generator(omega), astuple(a0)).T
         mu = rk4(lax_generator(omega), closed_form_mu(a0, params).values)
 
-    # overflow in derived columns is caught by the caller's finite-value scan
+    # overflow in derived columns is caught by the caller's finite-value scan,
+    # and so is the residual of a step that underflows to 0, which is NaN
+    dt = cfg.t_end / cfg.steps
     with np.errstate(over="ignore", invalid="ignore"):
         energies = energy(q, p, omega)
-        resid = grid_lax_residual(mu, cfg.t_end / cfg.steps, omega)
+        resid = grid_lax_residual(mu, dt, omega) if dt > 0 else np.full(len(ts), math.nan)
     return [ts, q, p, energies, *aux, *mu.T, resid]
 
 

@@ -10,8 +10,10 @@ vectors gives the equivalent index form (``lax_rhs_index``, any dim)
 
     d(mu^i_jk)/dt = mu^s_jk M^i_s - M^s_j mu^i_sk - M^s_k mu^i_js.
 
-The equation is linear in mu: ``lax_generator`` is its 8x8 matrix, built
-once from the index form on the basis tensors.  It is the one production
+The equation is linear in mu: ``lax_generator`` is its 8x8 matrix
+A = (omega/2) P, with the integer pattern P of M = J = [[0, -1], [1, 0]]
+built once, at import, from the index form on the basis tensors; a call
+only scales it.  It is the one production
 route to [M, mu]: it drives the RK4 runs of mu, the verifier's Lax
 residual, ``grid_lax_residual`` and ``pde_residual``.  The abstract bracket
 and the eight hand-expanded ODEs for dim 2 live in the tests
@@ -63,18 +65,21 @@ import numpy as np
 
 from .multilinear import Operation, _norm
 from .oscillator import (
+    _ROTATION,
     AuxValues,
     IntegrationError,
     OscState,
     _central_difference,
+    _check_omega,
+    _check_states,
+    _pattern,
+    _rk4_linear_rows,
     aux_algebraic,
     aux_exact_flow,
     aux_generator,
     energy,
     hamilton_generator,
     hamiltonian,
-    m_matrix,
-    rk4_linear_path,
 )
 
 __all__ = [
@@ -205,11 +210,18 @@ def lax_rhs_index(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
     )
 
 
+# [J, mu] on the eight basis tensors: the Lax generator for omega = 2
+_LAX_PATTERN = _pattern(lax_rhs_index(np.eye(8).reshape(8, 2, 2, 2), _ROTATION).reshape(8, 8).T)
+
+
 def lax_generator(omega: float) -> np.ndarray:
     """The 8x8 matrix A of d(mu)/dt = A mu in the canonical component order:
-    ``lax_rhs_index`` applied once to the eight basis tensors."""
-    basis = np.eye(8).reshape(8, 2, 2, 2)
-    return lax_rhs_index(basis, m_matrix(omega).coeffs).reshape(8, 8).T
+    omega/2 times the constant pattern that ``lax_rhs_index`` gives on the
+    eight basis tensors for M = J.  Its entries are small integers and
+    signed zeros, so the product has the same bits as ``lax_rhs_index``
+    applied to the basis tensors with M = ``m_matrix(omega)``."""
+    _check_omega(omega)
+    return (0.5 * omega) * _LAX_PATTERN
 
 
 def _k_matrix(c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -236,10 +248,10 @@ def _aux_rows(aux: AuxValues) -> np.ndarray:
     return np.moveaxis(a, 0, -1)  # (..., 4): a stack of aux rows
 
 
-def _times_k(rows: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+def _times_k(rows: np.ndarray, k: np.ndarray, scale: float, out=None) -> np.ndarray:
     # overflow leaves non-finite entries, which the callers' checks report
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = rows @ k.T
+        mu = np.matmul(rows, k.T, out=out)
         if scale != 1.0:
             mu *= scale
     return mu
@@ -277,8 +289,13 @@ def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
     (samples, 8), with on-grid differences and [M, mu] as ``lax_generator``.
 
     Second-order central differences inside, second-order one-sided at the
-    endpoints, so the result scales as dt^2 for smooth trajectories.
+    endpoints, so the result scales as dt^2 for smooth trajectories.  Needs
+    at least 3 samples and a positive, finite dt (ValueError otherwise).
     """
+    if mu.shape[0] < 3:
+        raise ValueError(f"grid_lax_residual needs at least 3 samples, got {mu.shape[0]}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive, got {dt}")
     # d(mu)/dt and then the residual in one array, whose rows the norm
     # squares into the freed bracket
     res = np.empty(mu.shape)
@@ -295,6 +312,38 @@ def _require_finite(stage: str, values: np.ndarray, ts: np.ndarray) -> None:
     if not np.isfinite(values).all():
         k = int(np.argmin(np.isfinite(values).all(axis=1)))  # the first non-finite row
         raise IntegrationError(f"{stage}: non-finite value at sample {k} (t = {ts[k]:.6g})")
+
+
+def _checked(reduce, scan) -> float:
+    """``reduce()``, a float that is non-finite whenever one of the rows it
+    reduces is, so ``scan()`` (which raises at the first non-finite row)
+    runs only then.  Finite rows whose reduction overflows are reduced
+    again outside the ``errstate``, so numpy warns as when the scan came
+    first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = reduce()
+    if math.isfinite(value):
+        return value
+    scan()
+    return reduce()
+
+
+def _max_gap(a, b, out) -> float:
+    return float(np.max(np.abs(np.subtract(a, b, out=out), out=out)))
+
+
+def _max_norm(values: np.ndarray, squares: np.ndarray) -> float:
+    return float(np.max(_norm(values, axis=1, out=squares)))
+
+
+def _norm_drift(mu: np.ndarray, squares: np.ndarray) -> float:
+    norms = _norm(mu, axis=1, out=squares)
+    return _max_gap(norms, norms[0], norms)
+
+
+def _energy_drift(qp: np.ndarray, omega: float) -> float:
+    energies = energy(qp[:, 0], qp[:, 1], omega)
+    return _max_gap(energies, energies[0], energies)
 
 
 def verify_lax_representation(
@@ -320,13 +369,17 @@ def verify_lax_representation(
     * hamiltonian_drift     - max energy drift of an RK4 trajectory of
       (q, p) on the same grid.
 
-    Both RK4 runs integrate linear systems with ``rk4_linear_path``
+    Both RK4 runs integrate linear systems as ``rk4_linear_path`` does
     (classical RK4, equal to a step-by-step loop up to rounding): the mu
     run with ``lax_generator``, the (q, p) run with Hamilton's generator.
+    The grid ts and each generator are formed once per call.
 
     Each check passes iff its max residual is <= tol.  A non-finite closed
     form raises ``IntegrationError`` before the RK4 run it would seed, and
-    so does a non-finite d(mu)/dt - [M, mu].
+    so do a non-finite RK4 state and a non-finite d(mu)/dt - [M, mu].  The
+    rows behind a check are scanned for non-finite values only when the
+    check's reduction over them is non-finite; a reduction that overflows
+    over finite rows is reported as it is (``Infinity`` in the CLI).
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -336,35 +389,35 @@ def verify_lax_representation(
         raise ValueError(f"t_end must be positive, got {t_end}")
     omega = s0.omega
     ts = np.linspace(0.0, t_end, steps + 1)
+    generator = lax_generator(omega)
 
     rows = _aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts))
     k, scale = _k_matrix(params.values)
     mu_cf = _times_k(rows, k, scale)
-    _require_finite("closed_form", mu_cf, ts)
-    generator = lax_generator(omega)
+    # the one other (N, 8) array: the norms' squares, the RK4 run of mu and
+    # its gap, then [M, mu] and the squares of d(mu)/dt - [M, mu]
+    buf = np.empty_like(mu_cf)
+    norm_drift = _checked(lambda: _norm_drift(mu_cf, buf),
+                          lambda: _require_finite("closed_form", mu_cf, ts))
 
-    try:
-        _, mu_rk4 = rk4_linear_path(generator, mu_cf[0], t_end, steps)
-    except IntegrationError as exc:
-        raise IntegrationError(f"closed_form_vs_rk4: {exc}") from exc
-    # each check works in the RK4 buffer or in dmu, not in fresh (N, 8) arrays
-    gap = float(np.max(np.abs(np.subtract(mu_rk4, mu_cf, out=mu_rk4), out=mu_rk4)))
+    def rk4_mu(out=None):
+        return _rk4_linear_rows(generator, mu_cf[0], t_end, steps, out)
+
+    # the gap is taken in the run's rows, so its scan runs the RK4 again
+    gap = _checked(lambda: _max_gap(rk4_mu(buf), mu_cf, buf),
+                   lambda: _check_states("closed_form_vs_rk4: ", rk4_mu(), ts))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        dmu = _times_k(rows, k @ aux_generator(omega), scale)  # exactly d(mu)/dt
-        dmu -= np.matmul(mu_cf, generator.T, out=mu_rk4)
-    _require_finite("lax_equation_residual", dmu, ts)
-    lax_res = float(np.max(_norm(dmu, axis=1, out=mu_rk4)))
+        bracket = np.matmul(mu_cf, generator.T, out=buf)
+        # exactly d(mu)/dt, in mu_cf's place
+        dmu = _times_k(rows, k @ aux_generator(omega), scale, out=mu_cf)
+        dmu -= bracket
+    lax_res = _checked(lambda: _max_norm(dmu, buf),
+                       lambda: _require_finite("lax_equation_residual", dmu, ts))
 
-    norms = _norm(mu_cf, axis=1, out=mu_rk4)
-    norm_drift = float(np.max(np.abs(np.subtract(norms, norms[0], out=norms), out=norms)))
-
-    try:
-        _, qp = rk4_linear_path(hamilton_generator(omega), [s0.q, s0.p], t_end, steps)
-    except IntegrationError as exc:
-        raise IntegrationError(f"hamiltonian_drift: {exc}") from exc
-    energies = energy(qp[:, 0], qp[:, 1], omega)
-    h_drift = float(np.max(np.abs(energies - energies[0])))
+    qp = _rk4_linear_rows(hamilton_generator(omega), [s0.q, s0.p], t_end, steps)
+    h_drift = _checked(lambda: _energy_drift(qp, omega),
+                       lambda: _check_states("hamiltonian_drift: ", qp, ts))
 
     checks = tuple(
         CheckResult(name, value, tol, value <= tol)

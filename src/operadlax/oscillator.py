@@ -79,6 +79,19 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
+def _pattern(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+# J = [[0, -1], [1, 0]]: M = (omega/2) J, and each generator that M drives is
+# omega/2 times a constant pattern built once from J
+_ROTATION = _pattern([[0.0, -1.0], [1.0, 0.0]])
+# (A+, A-) turn as J and (D+, D-) as 3 J
+_AUX_PATTERN = _pattern(np.kron(np.diag([1.0, 3.0]), _ROTATION))
+
+
 def _central_difference(f: Callable, x, h: float):
     """(f(x + h) - f(x - h)) / (2 h): the derivative of f at x up to O(h^2).
     The package's one central difference of a callable; h is the caller's h_fd."""
@@ -187,15 +200,29 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
     step named is the first whose state is non-finite; ``rk4_path`` can
     stop one step earlier when its stage values (such as a @ y) overflow
     before the state does.
+
+    The function is the grid ts, the rows of ``_rk4_linear_rows`` and that
+    scan (``_check_states``).  ``verify_lax_representation`` takes the rows
+    alone, on its own grid, and scans them only when its reduction over
+    them is non-finite; the generator ``a`` is formed once by the caller.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
+    ts = np.linspace(0.0, t_end, steps + 1)
+    ys = _rk4_linear_rows(a, y0, t_end, steps)
+    _check_states("", ys, ts)
+    return ts, ys
+
+
+def _rk4_linear_rows(a, y0, t_end: float, steps: int, out=None) -> np.ndarray:
+    """The rows of ``rk4_linear_path``, unchecked (a run that overflows
+    leaves non-finite rows for the caller's ``_check_states``), written
+    into ``out`` when given."""
     y = np.asarray(y0, dtype=float)
     ha = (t_end / steps) * np.asarray(a, dtype=float)
-    ts = np.linspace(0.0, t_end, steps + 1)
-    ys = np.empty((steps + 1, y.size))
+    ys = np.empty((steps + 1, y.size)) if out is None else out
     ys[0] = y
     eye = np.eye(y.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,12 +241,17 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
                 squared = power @ power
                 if np.isfinite(squared).all():
                     power, stride = squared, m
+    return ys
+
+
+def _check_states(stage: str, ys: np.ndarray, ts: np.ndarray) -> None:
+    """Raise IntegrationError, its message led by ``stage``, at the first
+    non-finite state of an RK4 run after its seed ys[0]."""
     if not np.isfinite(ys[1:]).all():
         # rows are only ever built from earlier rows, so the first
         # non-finite one is the step where the state turned
         k = 1 + int(np.argmin(np.isfinite(ys[1:]).all(axis=1)))
-        raise IntegrationError(f"non-finite state at step {k} (t = {ts[k]:.6g})")
-    return ts, ys
+        raise IntegrationError(f"{stage}non-finite state at step {k} (t = {ts[k]:.6g})")
 
 
 def hamilton_generator(omega: float) -> np.ndarray:
@@ -231,7 +263,7 @@ def hamilton_generator(omega: float) -> np.ndarray:
 def m_matrix(omega: float) -> Operation:
     """The constant rotation generator (omega/2) [[0, -1], [1, 0]]."""
     _check_omega(omega)
-    return Operation(2, 1, 0.5 * omega * np.array([[0.0, -1.0], [1.0, 0.0]]))
+    return Operation(2, 1, 0.5 * omega * _ROTATION)
 
 
 def lax_matrices(s: OscState) -> tuple[Operation, Operation]:
@@ -304,8 +336,11 @@ def aux_exact_flow(a0: AuxValues, omega: float, t) -> AuxValues:
 
 def aux_generator(omega: float) -> np.ndarray:
     """Generator of the rotation laws on (A+, A-, D+, D-): (A+, A-) rotate at
-    omega/2 and (D+, D-) at 3 omega/2: M and 3 M, with M = ``m_matrix``."""
-    return np.kron(np.diag([1.0, 3.0]), m_matrix(omega).coeffs)
+    omega/2 and (D+, D-) at 3 omega/2: M and 3 M, with M = ``m_matrix``.
+    It is omega/2 times the constant pattern kron(diag(1, 3), J), the same
+    bits as the Kronecker product of diag(1, 3) with M."""
+    _check_omega(omega)
+    return (0.5 * omega) * _AUX_PATTERN
 
 
 def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> AuxValues:

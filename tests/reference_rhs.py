@@ -11,12 +11,23 @@ that the tests can compare the generators against them.
   the operadic Lax equation d(mu)/dt = [M, mu] in dim 2;
 * ``lax_rhs_bracket`` - [M, mu] through the abstract Gerstenhaber bracket;
 * ``closed_form_reference`` - the closed-form family mu = K(C) a as eight
-  sums of products C_i a_j, which the package forms as one matrix product.
+  sums of products C_i a_j, which the package forms as one matrix product;
+* ``lax_generator_reference`` and ``aux_generator_reference`` - the two
+  generators built from M = ``m_matrix(omega)`` on each call, the routes the
+  package's constant patterns scaled by omega/2 replace bit for bit.
 """
 
 import numpy as np
 
-from operadlax import AuxValues, Operation, OscState, StructureConstants2, bracket
+from operadlax import (
+    AuxValues,
+    Operation,
+    OscState,
+    StructureConstants2,
+    bracket,
+    lax_rhs_index,
+    m_matrix,
+)
 from operadlax.oscillator import _check_omega
 
 
@@ -90,3 +101,14 @@ def closed_form_reference(aux: AuxValues, c) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def lax_generator_reference(omega: float) -> np.ndarray:
+    """``lax_rhs_index`` on the eight basis tensors with M = ``m_matrix(omega)``."""
+    basis = np.eye(8).reshape(8, 2, 2, 2)
+    return lax_rhs_index(basis, m_matrix(omega).coeffs).reshape(8, 8).T
+
+
+def aux_generator_reference(omega: float) -> np.ndarray:
+    """M and 3 M on the diagonal: ``np.kron(diag(1, 3), M)``."""
+    return np.kron(np.diag([1.0, 3.0]), m_matrix(omega).coeffs)

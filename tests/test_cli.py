@@ -641,6 +641,30 @@ def test_verify_overflowing_derivative_is_one_error_line(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("flags, line", [
+    # the RK4 run of mu turns non-finite first (omega h = 250 is past its
+    # stability bound); the closed form stays finite
+    (["--omega", "1000", "--t-end", "10", "--steps", "40"],
+     "error: closed_form_vs_rk4: non-finite state at step 35 (t = 8.75)"),
+    # with C = 0, mu is zero in both runs and only the (q, p) run grows
+    (["--omega", "1000", "--t-end", "10", "--steps", "40", "--c", "0,0,0,0,0,0,0,0"],
+     "error: hamiltonian_drift: non-finite state at step 38 (t = 9.5)"),
+    # both the closed form and the RK4 run of mu are non-finite at sample 1:
+    # the closed form, which seeds the run, is named
+    (["--c", "0,0,0,0,0,0,4e307,4e307", "--q0", "0", "--p0", "2", "--omega", "1000",
+      "--t-end", "1", "--steps", "40"],
+     "error: closed_form: non-finite value at sample 1 (t = 0.025)"),
+], ids=["rk4_mu", "rk4_qp", "closed_form_first"])
+def test_verify_names_the_first_failing_stage(tmp_path, capsys, flags, line):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", str(path), *flags])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [line]
+
+
 @pytest.mark.parametrize("argv, line", [
     (["verify", "{config}", "--q0", "1e200"],
      "error: closed_form: non-finite value at sample 0 (t = 0)"),
@@ -654,6 +678,16 @@ def test_infinite_energy_is_one_error_line(tmp_path, capsys, argv, line):
         code, _, err = run(capsys, [a.format(config=config) for a in argv])
     assert code == 1
     assert err.splitlines() == [line]
+
+
+def test_simulate_step_underflowing_to_zero_is_one_error_line(tmp_path, capsys):
+    # t_end / steps rounds to 0: the residual column is refused as non-finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["simulate", "--t-end", "5e-324", "--steps", "2",
+                                      "--c", C1])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: non-finite value in sample 0"]
 
 
 def reject_constant(name):

@@ -22,19 +22,29 @@ from operadlax import (
     classical_lax_residual,
     closed_form_mu,
     closed_form_path,
+    energy,
     g_residuals,
     g_residuals_along,
     g_values,
     grid_lax_residual,
+    hamilton_generator,
     hamiltonian,
     lax_generator,
     lax_rhs_index,
     m_matrix,
     operadic_lax,
     pde_residual,
+    rk4_linear_path,
     verify_lax_representation,
 )
-from reference_rhs import aux_rhs, closed_form_reference, lax_rhs_bracket, lax_rhs_explicit
+from reference_rhs import (
+    aux_generator_reference,
+    aux_rhs,
+    closed_form_reference,
+    lax_generator_reference,
+    lax_rhs_bracket,
+    lax_rhs_explicit,
+)
 
 CANONICAL = OscState(0.0, 2.0, 1.0)
 
@@ -138,6 +148,24 @@ def test_lax_rhs_index_basis_matrix_matches_batched():
         batched = lax_rhs_index(mu.reshape(-1, 2, 2, 2), m).reshape(-1, 8)
         scale = omega * np.abs(mu).max(axis=1)
         assert (np.abs(mu @ ad_m - batched).max(axis=1) <= 1e-14 * scale).all()
+
+
+def test_generators_keep_the_reference_bits():
+    # omega/2 times a constant pattern: the same bytes, signed zeros and
+    # memory layout included, as building each generator from M = m_matrix
+    omegas = 10.0 ** np.random.default_rng(21).uniform(-300, 300, 2000)
+    for omega in [*omegas.tolist(), 1.0, 2.0, 0.1, 30.0]:
+        for got, want in ((lax_generator(omega), lax_generator_reference(omega)),
+                          (aux_generator(omega), aux_generator_reference(omega))):
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("generator", [lax_generator, aux_generator])
+def test_generators_refuse_bad_omega(generator, omega):
+    with pytest.raises(ValueError, match="omega"):
+        generator(omega)
 
 
 def test_lax_rhs_explicit_example():
@@ -465,6 +493,19 @@ def test_grid_lax_residual_keeps_the_reference_bits(rows):
             assert got.tobytes() == grid_lax_residual_reference(sample, dt, omega).tobytes()
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_grid_lax_residual_needs_three_samples(rows):
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        grid_lax_residual(np.ones((rows, 8)), 0.1, 1.3)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_grid_lax_residual_needs_a_positive_step(dt):
+    # refused before any arithmetic: no RuntimeWarning and no NaN rows
+    with pytest.raises(ValueError, match="dt must be positive"):
+        grid_lax_residual(np.ones((5, 8)), dt, 1.3)
+
+
 def test_grid_lax_residual_scales_past_overflowing_squares():
     # 2**600 scales every entry exactly; the squares in the norm (past 2**1200)
     # overflow, so the rows are recomputed from their scaled entries
@@ -485,6 +526,53 @@ def test_verify_zero_params_mu_checks_exact():
     assert by_name["lax_equation_residual"].max_residual == 0.0
     assert by_name["mu_norm_drift"].max_residual == 0.0
     assert rep.all_passed()
+
+
+def verify_reference(params, s0, t_end, steps):
+    """The four max residuals of ``verify_lax_representation`` from fresh
+    arrays, every one scanned for non-finite rows by ``rk4_linear_path``
+    or left unscanned (finite inputs only)."""
+    omega = s0.omega
+    ts = np.linspace(0.0, t_end, steps + 1)
+    rows = operadic_lax._aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts))
+    k, scale = operadic_lax._k_matrix(params.values)
+    mu_cf = operadic_lax._times_k(rows, k, scale)
+    _, mu_rk4 = rk4_linear_path(lax_generator(omega), mu_cf[0], t_end, steps)
+    dmu = (operadic_lax._times_k(rows, k @ aux_generator(omega), scale)
+           - mu_cf @ lax_generator(omega).T)
+    norms = operadic_lax._norm(mu_cf, axis=1)
+    _, qp = rk4_linear_path(hamilton_generator(omega), [s0.q, s0.p], t_end, steps)
+    energies = energy(qp[:, 0], qp[:, 1], omega)
+    return [np.max(np.abs(mu_rk4 - mu_cf)), np.max(operadic_lax._norm(dmu, axis=1)),
+            np.max(np.abs(norms - norms[0])), np.max(np.abs(energies - energies[0]))]
+
+
+@pytest.mark.parametrize("steps", [2, 3, 1000, 4642])
+def test_verify_keeps_the_fresh_array_bits(steps):
+    # the checks share buffers and scan only on failure: the same bits
+    rng = np.random.default_rng(steps)
+    for _ in range(4):
+        omega = 10 ** rng.uniform(-1, 1.5)
+        amplitude, phase = 10 ** rng.uniform(-2, 2), rng.uniform(0, 2 * math.pi)
+        s0 = OscState(amplitude * math.sin(phase) / omega, amplitude * math.cos(phase), omega)
+        params = SolutionParams(rng.uniform(-1, 1, 8))
+        t_end = int(rng.integers(1, 11)) * 2 * math.pi / omega
+        got = [c.max_residual for c in
+               verify_lax_representation(params, s0, t_end, steps, 1e-7).checks]
+        want = verify_reference(params, s0, t_end, steps)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_verify_reports_an_overflowing_energy_drift():
+    # at omega h = 250 the RK4 run of (q, p) grows about 1e8-fold a step:
+    # finite over 20 steps, but its energies overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep = verify_lax_representation(
+            SolutionParams(np.zeros(8)), OscState(0.0, 2.0, 1000.0), 5.0, 20, 1e-7
+        )
+    drift = {c.name: c for c in rep.checks}["hamiltonian_drift"]
+    assert drift.max_residual == math.inf and not drift.passed
 
 
 def test_verify_single_parameter_canonical():

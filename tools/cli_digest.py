@@ -96,8 +96,11 @@ OUT_STEPS = [1022, 1023, 1024, 2047, 2048, 20000]
 
 # bad input (exit 2) and numeric failures (exit 1): the bad-input cases of
 # tests/test_cli.py plus the closed form overflowing at t = 0, H
-# overflowing at q0 = 1e200, and a finite closed form whose d(mu)/dt
-# overflows (each appended last, so earlier labels keep their commands)
+# overflowing at q0 = 1e200, a finite closed form whose d(mu)/dt
+# overflows, verify's failure order (the RK4 run of mu, the RK4 run of
+# (q, p), and the closed form named before the RK4 run that fails with it)
+# and a finite report with residuals near 1e302 (each appended last, so
+# earlier labels keep their commands)
 BIG = "1" + "0" * 400
 ERROR_CONFIGS = {
     "base": json.dumps({"omega": 1.0, "q0": 0.0, "p0": 2.0, "t_end": 6.283185307179586,
@@ -108,6 +111,7 @@ ERROR_CONFIGS = {
     "big_steps": '{"steps": %s}' % BIG,
     "huge_c": json.dumps({"c": [1e308] * 8, "steps": 100}),
     "latin1": '{"format": "\xe9"}',  # written as Latin-1: not UTF-8
+    "empty": "{}",
 }
 ERROR_ARGV = [
     ["simulate", "--q0", "nan"],
@@ -130,6 +134,13 @@ ERROR_ARGV = [
     ["simulate", "--q0", "1e200", "--c", "1,0,0,0,0,0,0,0"],
     ["verify", "{base}", "--c", ",".join(["1e307"] * 8), "--q0", "0", "--p0", "1e-4",
      "--omega", "1000", "--t-end", "0.00628", "--steps", "1000"],
+    ["verify", "{empty}", "--omega", "1000", "--t-end", "10", "--steps", "40"],
+    ["verify", "{empty}", "--omega", "1000", "--t-end", "10", "--steps", "40",
+     "--c", "0,0,0,0,0,0,0,0"],
+    ["verify", "{empty}", "--c", "0,0,0,0,0,0,4e307,4e307", "--q0", "0", "--p0", "2",
+     "--omega", "1000", "--t-end", "1", "--steps", "40"],
+    ["verify", "{empty}", "--c", ",".join(["3e307"] * 8), "--q0", "0", "--p0", "0.5",
+     "--steps", "100"],
 ]
 
 

@@ -11,19 +11,33 @@ One ``verify`` request samples [0, t_end] at steps + 1 times and runs:
 * ``norms``        - ``grid_lax_residual`` of the sampled mu: one row norm
   of an (N, 8) array, with the matrix product and difference beside it,
   the same work as the Lax residual and norm drift checks;
-* ``total``        - the whole ``verify_lax_representation`` call.
+* ``total``        - the whole ``verify_lax_representation`` call;
+* ``setup``        - a 2-step ``verify_lax_representation`` call (printed
+  once, at 2 steps): the cost of a request that does not grow with N.
 
 Each figure is the best of several runs of a short loop, in
-microseconds per call, at 1e3 and 1e4 steps (the benchmark's range).  The
-oscillator is the middle of the benchmark's draw: omega 1.7, five periods,
-amplitude about 1.  It uses public names only, so it also runs on older
-trees and shows where the time goes before and after a change:
+microseconds per call, at 1e3 and 1e4 steps (the benchmark's range).  Then
+two lines: ``request_ms``, the mean in-process ``cli.main(["verify", cfg])``
+request over the benchmark's 15 step counts (log-spaced midpoints of
+[1e3, 1e4]; best of the repeated cycles), and ``minflt``, the minor page
+faults per warm 1e4-step ``verify_lax_representation`` call (``getrusage``
+over 100 calls after 20 warm-up calls).  The oscillator is the middle of
+the benchmark's draw: omega 1.7, five periods, amplitude about 1.  It uses
+public names only, so it also runs on older trees and shows where the time
+goes before and after a change:
 
     PYTHONPATH=src python tools/verify_timing.py [--repeat N]
 """
 
 import argparse
+import contextlib
+import io
+import json
 import math
+import os
+import resource
+import tempfile
+import time
 import timeit
 from dataclasses import astuple
 
@@ -36,6 +50,7 @@ from operadlax import (
     aux_algebraic,
     aux_exact_flow,
     aux_generator,
+    cli,
     closed_form_path,
     grid_lax_residual,
     hamilton_generator,
@@ -46,6 +61,10 @@ from operadlax import (
 
 STEPS = (1_000, 10_000)
 LOOP_SECONDS = 2e-2  # each run loops a call this long
+# the benchmark's verify cycle: midpoints of 15 equal slices of [1e3, 1e4]
+# on a log scale
+REQUEST_STEPS = [round(1_000 * 10 ** ((i + 0.5) / 15)) for i in range(15)]
+OMEGA, Q0, P0, C_SEED = 1.7, 0.4, -1.2, 15
 
 
 def best_us(fn, repeat: int) -> float:
@@ -54,11 +73,15 @@ def best_us(fn, repeat: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
 
 
+def oscillator():
+    s0 = OscState(Q0, P0, OMEGA)
+    params = SolutionParams(np.random.default_rng(C_SEED).uniform(-1.0, 1.0, 8))
+    return s0, params, 5 * 2.0 * math.pi / OMEGA
+
+
 def stages(steps: int):
-    omega = 1.7
-    s0 = OscState(0.4, -1.2, omega)
-    params = SolutionParams(np.random.default_rng(15).uniform(-1.0, 1.0, 8))
-    t_end = 5 * 2.0 * math.pi / omega
+    omega = OMEGA
+    s0, params, t_end = oscillator()
     ts = np.linspace(0.0, t_end, steps + 1)
     a0 = aux_algebraic(s0)
     c = params.values
@@ -75,6 +98,43 @@ def stages(steps: int):
     }
 
 
+def setup_us(repeat: int) -> float:
+    s0, params, t_end = oscillator()
+    return best_us(lambda: verify_lax_representation(params, s0, t_end, 2, 1e-7), repeat)
+
+
+def request_ms(repeat: int) -> float:
+    """Best mean wall time, in ms, of a cycle of in-process ``verify``
+    requests, one per benchmark step count."""
+    s0, params, t_end = oscillator()
+    cfg = {"omega": OMEGA, "q0": Q0, "p0": P0, "c": params.values.tolist(),
+           "t_end": t_end, "tol": 1e-7, "seed": 1}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        argvs = [["verify", path, "--steps", str(n)] for n in REQUEST_STEPS]
+        best = math.inf
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(repeat + 1):  # the first cycle warms up
+                start = time.perf_counter()
+                for argv in argvs:
+                    cli.main(argv)
+                best = min(best, time.perf_counter() - start)
+    return best / len(argvs) * 1e3
+
+
+def minor_faults() -> float:
+    """Minor page faults per warm 1e4-step call: 100 calls after 20."""
+    s0, params, t_end = oscillator()
+    for _ in range(20):
+        verify_lax_representation(params, s0, t_end, 10_000, 1e-7)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(100):
+        verify_lax_representation(params, s0, t_end, 10_000, 1e-7)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=7)
@@ -83,6 +143,9 @@ def main():
     for steps in STEPS:
         for name, fn in stages(steps).items():
             print(f"{name} {steps} {best_us(fn, args.repeat):.1f}")
+    print(f"setup 2 {setup_us(args.repeat):.1f}")
+    print(f"request_ms {request_ms(args.repeat):.3f} (mean of {len(REQUEST_STEPS)} step counts)")
+    print(f"minflt {minor_faults():.1f} (per warm 10000-step call)")
 
 
 if __name__ == "__main__":
