@@ -30,11 +30,17 @@ takes each output entry from the product; composed tensors of more than
 and placed through strided views instead, so that no plan and no array is
 large.  Every output entry is therefore the same length-d dot product of
 the same operands as a one-composition call makes, and the signs are
-applied to the placed blocks.  A public function
-does its kernel work under one ``np.errstate`` and checks finiteness once,
-on its result or on each residual before the norm: every operand entry
-multiplies into some output entry and inf * 0 is NaN, so a non-finite
-intermediate always reaches that final tensor.
+applied to the placed blocks.
+
+The composition relation is written once, in ``_relation_residuals``,
+which takes the grid of (i, j) in chunks: the whole grid of a triple, or
+the one-cell chunk of a one-pair call.  Every axiom residual reduces
+through ``_residual_norms``: a batched dot of each residual row with
+itself.  A public function does its kernel work under one ``np.errstate``
+and checks finiteness once, on its result or on each residual before the
+norm: every operand entry multiplies into some output entry and
+inf * 0 is NaN, so a non-finite intermediate always reaches that final
+tensor.
 """
 
 from __future__ import annotations
@@ -260,10 +266,12 @@ def _relation_chunks(d: int, hm: int, fm: int, gm: int) -> list[tuple[int, int, 
     return [(i, i + 1, j, min(j + step, width)) for i in range(hm) for j in range(0, width, step)]
 
 
-def _relation_residuals(h, f, g, d: int, hm: int, fm: int, gm: int):
+def _relation_residuals(h, f, g, d: int, hm: int, fm: int, gm: int,
+                        chunks: list[tuple[int, int, int, int]] | None = None):
     """LHS - RHS of the composition relation of the flattened degree-hm,
-    fm and gm tensors h, f and g: for each chunk (i0, i1, j0, j1) of the
-    grid, its residual tensors, one per row, (i, j) in loop order."""
+    fm and gm tensors h, f and g: for each chunk (i0, i1, j0, j1) of
+    ``chunks`` (by default the whole grid, from ``_relation_chunks``), its
+    residual tensors, one per row, (i, j) in loop order."""
     every, width, hsize, size = range(hm), hm + fm - 1, d ** hm, d ** (hm + fm + gm - 1)
     hrows = _rows(h, d, hm)
     hof = _signed(_placed(hrows, f, d, hm, fm, every), fm, every)[0]
@@ -271,7 +279,7 @@ def _relation_residuals(h, f, g, d: int, hm: int, fm: int, gm: int):
     if hm > 1:  # the first and third cases compose h o_b g with f
         hog = _signed(_placed(hrows, g, d, hm, gm, every), gm, every)[0]
     s = _sign((fm - 1) * (gm - 1))
-    for i0, i1, j0, j1 in _relation_chunks(d, hm, fm, gm):
+    for i0, i1, j0, j1 in chunks or _relation_chunks(d, hm, fm, gm):
         first, mid, third = _relation_parts(fm, i0, i1, j0, j1)
         part = range(i0, i1)
         rhs = []
@@ -310,14 +318,6 @@ def _residual_norms(res: np.ndarray) -> list[float]:
     squares = np.matmul(res[:, None, :], res[:, :, None]).ravel().tolist()
     return [math.sqrt(sq) if math.isfinite(sq) else float(_norm(_check_finite(res[k])))
             for k, sq in enumerate(squares)]
-
-
-def _residual_norm(res: np.ndarray) -> float:
-    """``_residual_norms`` of one flattened residual."""
-    norm = float(_norm(res))
-    if not math.isfinite(norm):  # a non-finite entry, or squares past rescaling
-        _check_finite(res)
-    return norm
 
 
 def _dim(*ops: Operation) -> int:
@@ -381,9 +381,10 @@ def composition_relation_residual(
         i <= j <= i + |f|:   h o_i (f o_{j-i} g)
         i + deg f <= j:      (-1)^(|f||g|) (h o_{j-|f|} g) o_i f
 
-    Zero (up to rounding) in the endomorphism operad.
+    Zero (up to rounding) in the endomorphism operad.  This is the cell
+    (i, j) of ``composition_relation_residuals``, from the same kernel.
     """
-    hr, fr, gr = h.reduced_degree, f.reduced_degree, g.reduced_degree
+    hr, fr = h.reduced_degree, f.reduced_degree
     if not 0 <= i <= hr:
         raise ValueError(f"i = {i} outside slot range 0..{hr} of h")
     if not 0 <= j <= hr + fr:
@@ -391,23 +392,11 @@ def composition_relation_residual(
             f"j = {j} outside all case ranges: 0..{i - 1}, {i}..{i + fr}, "
             f"{i + fr + 1}..{hr + fr}"
         )
-    d, hc, fc, gc = _dim(h, f, g), _flat(h), _flat(f), _flat(g)
-
-    def compose(x, y, m, n, slot):
-        return _compose(x, y, d, m, n, range(slot, slot + 1))[0]
-
+    d = _dim(h, f, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = compose(compose(hc, fc, hr + 1, fr + 1, i), gc, hr + fr + 1, gr + 1, j)
-        if j <= i - 1:
-            hog, s = compose(hc, gc, hr + 1, gr + 1, j), _sign(fr * gr)
-            rhs = compose(hog, fc, hr + gr + 1, fr + 1, i + gr)
-        elif j <= i + fr:
-            fog, s = compose(fc, gc, fr + 1, gr + 1, j - i), 1
-            rhs = compose(hc, fog, hr + 1, fr + gr + 1, i)
-        else:
-            hog, s = compose(hc, gc, hr + 1, gr + 1, j - fr), _sign(fr * gr)
-            rhs = compose(hog, fc, hr + gr + 1, fr + 1, i)
-        return _residual_norm(_graded_difference(lhs, rhs, s)[0])
+        (res,) = _relation_residuals(_flat(h), _flat(f), _flat(g), d, h.degree, f.degree,
+                                     g.degree, [(i, i + 1, j, j + 1)])
+        return _residual_norms(res)[0]
 
 
 def composition_relation_residuals(h: Operation, f: Operation, g: Operation) -> list[float]:
@@ -436,7 +425,8 @@ def antisymmetry_residual(f: Operation, g: Operation) -> float:
     s = _sign(f.reduced_degree * g.reduced_degree)
     with np.errstate(over="ignore", invalid="ignore"):
         fg, gf = _total(_rows(x, d, m), y, d, m, n), _total(_rows(y, d, n), x, d, n, m)
-        return _residual_norm(_graded_difference(fg, gf, s) + s * _graded_difference(gf, fg, s))
+        res = _graded_difference(fg, gf, s) + s * _graded_difference(gf, fg, s)
+        return _residual_norms(res.reshape(1, -1))[0]
 
 
 def jacobi_residual(f: Operation, g: Operation, h: Operation) -> float:
@@ -448,5 +438,5 @@ def jacobi_residual(f: Operation, g: Operation, h: Operation) -> float:
     """
     d = _dim(f, g, h)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _residual_norm(_jacobi(_flat(f), _flat(g), _flat(h), d, f.degree, g.degree,
-                                      h.degree))
+        res = _jacobi(_flat(f), _flat(g), _flat(h), d, f.degree, g.degree, h.degree)
+        return _residual_norms(res.reshape(1, -1))[0]

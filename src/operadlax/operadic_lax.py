@@ -374,6 +374,7 @@ def verify_lax_representation(
     run with ``lax_generator``, the (q, p) run with Hamilton's generator.
     The grid ts and each generator are formed once per call.
 
+    A step t_end / steps that underflows to 0 raises ``ValueError``.
     Each check passes iff its max residual is <= tol.  A non-finite closed
     form raises ``IntegrationError`` before the RK4 run it would seed, and
     so do a non-finite RK4 state and a non-finite d(mu)/dt - [M, mu].  The
@@ -387,6 +388,8 @@ def verify_lax_representation(
         raise ValueError(f"tol must be positive, got {tol}")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be positive, got {t_end}")
+    if not t_end / steps > 0:  # a step that underflows moves neither RK4 run
+        raise ValueError(f"step t_end / steps must be positive, got {t_end} / {steps}")
     omega = s0.omega
     ts = np.linspace(0.0, t_end, steps + 1)
     generator = lax_generator(omega)

@@ -690,6 +690,17 @@ def test_simulate_step_underflowing_to_zero_is_one_error_line(tmp_path, capsys):
     assert err.splitlines() == ["error: non-finite value in sample 0"]
 
 
+def test_verify_step_underflowing_to_zero_is_one_error_line(tmp_path, capsys):
+    # with t_end / steps = 0 neither RK4 run moves, which would pass every check
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", str(path), "--t-end", "5e-324", "--steps", "2"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: step t_end / steps must be positive, got 5e-324 / 2"]
+
+
 def reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 

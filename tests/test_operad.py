@@ -254,11 +254,16 @@ def error_or(residual, *args):
 SHAPES = [(d, degrees) for d in (1, 2, 3) for degrees in itertools.product((1, 2, 3), repeat=3)]
 
 
+def hexed(values):
+    return [x if isinstance(x, str) else x.hex() for x in values]
+
+
 def test_relation_grid_bitwise_matches_operation_level_reference():
     """The batched grid gives, at every (i, j) and on every shape with
     d <= 3 and degrees <= 3, the reference's float, or refuses the overflow
     the reference refuses, with the one-pair call's error for the first
-    (i, j) that overflows."""
+    (i, j) that overflows.  The one-pair call, one cell of the same kernel,
+    does the same at every (i, j)."""
     rng = np.random.default_rng(23)
     counts = {"finite": 0, "overflow": 0}
     for d, degrees in SHAPES:
@@ -267,6 +272,8 @@ def test_relation_grid_bitwise_matches_operation_level_reference():
             pairs = [(i, j) for i in range(h.degree)
                      for j in range(h.reduced_degree + f.reduced_degree + 1)]
             want = [outcome(reference_relation, h, f, g, i, j) for i, j in pairs]
+            one = [outcome(composition_relation_residual, h, f, g, i, j) for i, j in pairs]
+            assert hexed(one) == hexed(want)
             got = error_or(composition_relation_residuals, h, f, g)
             if "overflow" in want:
                 i, j = pairs[want.index("overflow")]
@@ -277,6 +284,42 @@ def test_relation_grid_bitwise_matches_operation_level_reference():
                 assert [x.hex() for x in got] == [x.hex() for x in want]
                 counts["finite"] += 1
     assert counts["overflow"] > 0 and counts["finite"] > 2 * counts["overflow"]
+
+
+def kernel_bits(call, *args):
+    """The bytes of a composition, the hex of a residual or of each of a
+    grid's, or the finite check's error message."""
+    got = error_or(call, *args)
+    if isinstance(got, Operation):
+        return got.coeffs.shape, got.coeffs.tobytes()
+    return hexed(got if isinstance(got, list) else [got])
+
+
+def every_kernel_bits(seed):
+    """``kernel_bits`` of every public composition and residual, every slot
+    of ``partial_compose``, on one random triple per shape."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for d, degrees in SHAPES:
+        h, f, g = (kernel_case_op(rng, d, n) for n in degrees)
+        calls = [(composition_relation_residuals, h, f, g), (jacobi_residual, f, g, h),
+                 (antisymmetry_residual, f, g), (unit_residual, f), (bracket, f, g),
+                 (total_compose, f, g)]
+        calls += [(partial_compose, f, g, i) for i in range(f.degree)]
+        out += [kernel_bits(call, *args) for call, *args in calls]
+    return out
+
+
+@pytest.mark.parametrize("planned_size", [0, 10**9])
+def test_planned_size_switch_keeps_every_bit(monkeypatch, planned_size):
+    """Composed tensors are placed through index plans up to
+    ``_PLANNED_SIZE`` entries and through strided views above it; either
+    route alone gives every shape's results bit for bit."""
+    want = every_kernel_bits(25)
+    for cache in ("_SLOT_ROWS", "_PLACEMENTS", "_RELATION_ROWS"):
+        monkeypatch.setattr(operad, cache, {})
+    monkeypatch.setattr(operad, "_PLANNED_SIZE", planned_size)
+    assert every_kernel_bits(25) == want
 
 
 def kernel_residuals(rng, d, degrees):

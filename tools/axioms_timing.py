@@ -8,7 +8,10 @@ graded antisymmetry of a pair.  This tool times each suite alone, the way
 each figure the best of several runs of a 2 ms loop, in microseconds per
 call.  It then prints the
 mean cost per trial under the benchmark's request mix: every degree drawn
-from 1..3 and d from 1..dim-max, with dim-max 2 and 3 alternating.  The
+from 1..3 and d from 1..dim-max, with dim-max 2 and 3 alternating.  A
+``relation_cell`` line, outside the trial's total, gives the same means
+for one public one-pair call ``composition_relation_residual(h, f, g, 0,
+0)`` per shape of the relation suite, which ``axioms`` does not run.  The
 timings call public names only, and the relation suite falls back to a
 loop over the one-pair call where the batched one is missing, so the tool
 runs on older trees too and shows where the time goes before and after a
@@ -74,6 +77,8 @@ def cases():
             h, f, g = operations(d, degs, 1)
             yield "relations", d, degs, lambda h=h, f=f, g=g: relation_suite(h, f, g)
             yield "jacobi", d, degs, lambda h=h, f=f, g=g: jacobi_residual(f, g, h)
+            yield ("relation_cell", d, degs,
+                   lambda h=h, f=f, g=g: composition_relation_residual(h, f, g, 0, 0))
         for degs in itertools.product(DEGREES, repeat=2):
             a, b = operations(d, degs, 2)
             yield "antisymmetry", d, degs, lambda a=a, b=b: antisymmetry_residual(a, b)
@@ -142,21 +147,26 @@ def main():
         number = max(1, round(LOOP_SECONDS / timer.timeit(1)))
         best[suite, d, degs] = min(timer.repeat(args.repeat, number)) / number * 1e6
 
-    suites = ("relations", "jacobi", "antisymmetry", "unit")
     if args.shapes:
         print(f"suite d degrees best_us (best of {args.repeat})")
         for (suite, d, degs), us in best.items():
             print(f"{suite} {d} {','.join(map(str, degs))} {us:.1f}")
     print("suite " + " ".join(f"dim_max_{m}_us" for m in (2, 3)) + " mix_us")
+
+    def mean(suite, dim_max):
+        figures = [us for (s, d, _), us in best.items() if s == suite and d <= dim_max]
+        return sum(figures) / len(figures)
+
+    def show(label, means):
+        print(f"{label} {means[2]:.1f} {means[3]:.1f} {(means[2] + means[3]) / 2:.1f}")
+
     total = {2: 0.0, 3: 0.0}
-    for suite in suites:
-        means = {}
-        for dim_max in (2, 3):
-            figures = [us for (s, d, _), us in best.items() if s == suite and d <= dim_max]
-            means[dim_max] = sum(figures) / len(figures)
-            total[dim_max] += means[dim_max]
-        print(f"{suite} {means[2]:.1f} {means[3]:.1f} {(means[2] + means[3]) / 2:.1f}")
-    print(f"all {total[2]:.1f} {total[3]:.1f} {(total[2] + total[3]) / 2:.1f}")
+    for suite in ("relations", "jacobi", "antisymmetry", "unit"):
+        means = {dim_max: mean(suite, dim_max) for dim_max in (2, 3)}
+        total = {dim_max: total[dim_max] + means[dim_max] for dim_max in (2, 3)}
+        show(suite, means)
+    show("all", total)
+    show("relation_cell", {dim_max: mean("relation_cell", dim_max) for dim_max in (2, 3)})
     ms = {dim_max: request_ms(dim_max, args.repeat) for dim_max in (2, 3)}
     print(f"request_ms {ms[2]:.2f} {ms[3]:.2f} {(ms[2] + ms[3]) / 2:.2f}")
     held = plan_bytes()

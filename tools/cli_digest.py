@@ -98,9 +98,10 @@ OUT_STEPS = [1022, 1023, 1024, 2047, 2048, 20000]
 # tests/test_cli.py plus the closed form overflowing at t = 0, H
 # overflowing at q0 = 1e200, a finite closed form whose d(mu)/dt
 # overflows, verify's failure order (the RK4 run of mu, the RK4 run of
-# (q, p), and the closed form named before the RK4 run that fails with it)
-# and a finite report with residuals near 1e302 (each appended last, so
-# earlier labels keep their commands)
+# (q, p), and the closed form named before the RK4 run that fails with it),
+# a finite report with residuals near 1e302 and a verify step that
+# underflows to 0 (each appended last, so earlier labels keep their
+# commands)
 BIG = "1" + "0" * 400
 ERROR_CONFIGS = {
     "base": json.dumps({"omega": 1.0, "q0": 0.0, "p0": 2.0, "t_end": 6.283185307179586,
@@ -141,6 +142,7 @@ ERROR_ARGV = [
      "--omega", "1000", "--t-end", "1", "--steps", "40"],
     ["verify", "{empty}", "--c", ",".join(["3e307"] * 8), "--q0", "0", "--p0", "0.5",
      "--steps", "100"],
+    ["verify", "{empty}", "--t-end", "5e-324", "--steps", "2"],
 ]
 
 
