@@ -15,7 +15,7 @@ A = (omega/2) P, with the integer pattern P of M = J = [[0, -1], [1, 0]]
 built once, at import, from the index form on the basis tensors; a call
 only scales it.  It is the one production
 route to [M, mu]: it drives the RK4 runs of mu, the verifier's Lax
-residual, ``grid_lax_residual`` and ``pde_residual``.  The abstract bracket
+residual and ``grid_lax_residual``.  The abstract bracket
 and the eight hand-expanded ODEs for dim 2 live in the tests
 (``tests/reference_rhs.py``) as independent oracles; the agreement of all
 routes is a test target, not an assumption.
@@ -45,9 +45,11 @@ residual of the eight ODEs is
 
 the family itself evaluated at the four rotation-law residuals G, for any,
 even off-trajectory, (aux, aux_dot): ``closed_form_mu(G, C)``.  On
-trajectories the G's vanish, so the family solves the Lax equation; the
-whole chain is verified end to end by ``verify_lax_representation``,
-which takes d(mu)/dt on the flow exactly as K(C) R a.
+trajectories the G's vanish, so the family solves the Lax equation; on
+phase space that is the transport equation X(mu) = [M, mu] along
+Hamilton's field X, which moves a as R a.  The whole chain is verified end
+to end by ``verify_lax_representation``, which takes d(mu)/dt on the flow
+exactly as K(C) R a.
 
 Component order everywhere (flat index alpha = 0..7, 1-based labels):
 
@@ -69,7 +71,6 @@ from .oscillator import (
     AuxValues,
     IntegrationError,
     OscState,
-    _central_difference,
     _check_omega,
     _check_states,
     _pattern,
@@ -79,7 +80,6 @@ from .oscillator import (
     aux_generator,
     energy,
     hamilton_generator,
-    hamiltonian,
 )
 
 __all__ = [
@@ -88,14 +88,12 @@ __all__ = [
     "SolutionParams",
     "CheckResult",
     "VerificationReport",
-    "BranchLocusError",
     "lax_rhs_index",
     "lax_generator",
     "closed_form_mu",
     "closed_form_path",
     "grid_lax_residual",
     "verify_lax_representation",
-    "pde_residual",
 ]
 
 COMPONENT_NAMES = (
@@ -108,11 +106,6 @@ COMPONENT_NAMES = (
     "mu221",
     "mu222",
 )
-
-
-class BranchLocusError(ValueError):
-    """State too close to the principal-branch locus (A+ = 0) for smooth
-    finite differences; test elsewhere."""
 
 
 def _flat8(values, what: str) -> np.ndarray:
@@ -443,37 +436,3 @@ def verify_lax_representation(
     }
     return VerificationReport(checks, config)
 
-
-def pde_residual(params: SolutionParams, s: OscState, h_fd: float = 1e-5) -> float:
-    """Residual of the phase-space transport equation at a single state:
-
-        p d(mu)/dq - omega^2 q d(mu)/dp - [M, mu],
-
-    where mu(q, p) is the closed form through the pointwise principal
-    branch, the transport velocity is ``hamilton_generator`` applied to
-    (q, p) and [M, mu] is ``lax_generator`` applied to mu.  Partials by
-    central differences, so the residual is
-    O(h_fd^2) on the smooth domain.  States within
-    delta = 1e-6 (1 + sqrt(2H)) of the branch locus (|A+| <= delta) are
-    refused: the finite differences would straddle a non-smooth branch.
-    """
-    omega = s.omega
-    aux = aux_algebraic(s)
-    delta = 1e-6 * (1.0 + math.sqrt(2.0 * hamiltonian(s)))
-    if abs(aux.a_plus) <= delta:
-        raise BranchLocusError(
-            f"state (q, p) = ({s.q}, {s.p}) lies within {delta:.3g} of the "
-            "principal-branch locus A+ = 0; evaluate the transport residual "
-            "at an interior state instead"
-        )
-    cvals = params.values
-
-    def mu_at(q: float, p: float) -> np.ndarray:
-        return _mu_components(aux_algebraic(OscState(q, p, omega)), cvals)
-
-    dq = _central_difference(lambda q: mu_at(q, s.p), s.q, h_fd)
-    dp = _central_difference(lambda p: mu_at(s.q, p), s.p, h_fd)
-    q_dot, p_dot = hamilton_generator(omega) @ (s.q, s.p)
-    advect = q_dot * dq + p_dot * dp
-    commutator = lax_generator(omega) @ _mu_components(aux, cvals)
-    return float(_norm((advect - commutator)[None], axis=1)[0])

@@ -8,8 +8,8 @@ step-by-step RK4 loop for any right-hand side.  The classical Lax pair
 
     L = [[p, w q], [w q, -p]],   M = (w/2) [[0, -1], [1, 0]]
 
-satisfies dL/dt = ML - LM along the flow (checked by finite differences,
-never assumed).
+satisfies dL/dt = ML - LM along the flow (proved in exact arithmetic by
+the tests, never assumed).
 
 The auxiliary functions A+, A-, D+, D- are defined implicitly by
 
@@ -31,10 +31,12 @@ The rotation laws are exactly the vanishing of the residuals
 
     G(A)+- = dA+-/dt +- (w/2) A-+,   G(D)+- = dD+-/dt +- (3w/2) D-+,
 
-computed by ``g_values`` from given rates (a_dot - R a, R = ``aux_generator``)
-and by ``g_residuals`` with central differences.  Each law is written once:
-``energy``, ``exact_path`` and ``aux_exact_flow`` take array times, and the
-scalar APIs wrap them.  Hand-expanded forms are in ``tests/reference_rhs.py``.
+computed by ``g_values`` from given rates (a_dot - R a, R = ``aux_generator``).
+They are Hamilton's flow pulled back through (q, p) = (A+ A- / w,
+(A+^2 - A-^2) / 2), and its cube for (D+, D-) (an exact test proves both).
+Each law is written once: ``energy``, ``exact_path`` and ``aux_exact_flow``
+take array times, and the scalar APIs wrap them.  Hand-expanded forms are in
+``tests/reference_rhs.py``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .multilinear import Operation, _norm
+from .multilinear import Operation
 
 __all__ = [
     "OscState",
@@ -60,13 +62,10 @@ __all__ = [
     "rk4_linear_path",
     "m_matrix",
     "lax_matrices",
-    "classical_lax_residual",
     "aux_algebraic",
     "aux_exact_flow",
     "aux_generator",
     "g_values",
-    "g_residuals",
-    "g_residuals_along",
 ]
 
 
@@ -90,14 +89,6 @@ def _pattern(values) -> np.ndarray:
 _ROTATION = _pattern([[0.0, -1.0], [1.0, 0.0]])
 # (A+, A-) turn as J and (D+, D-) as 3 J
 _AUX_PATTERN = _pattern(np.kron(np.diag([1.0, 3.0]), _ROTATION))
-
-
-def _central_difference(f: Callable, x, h: float):
-    """(f(x + h) - f(x - h)) / (2 h): the derivative of f at x up to O(h^2).
-    The package's one central difference of a callable; h is the caller's h_fd."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h_fd must be positive, got {h}")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -275,16 +266,6 @@ def lax_matrices(s: OscState) -> tuple[Operation, Operation]:
     return Operation(2, 1, np.array([[s.p, wq], [wq, -s.p]])), m_matrix(s.omega)
 
 
-def classical_lax_residual(s0: OscState, t: float, h_fd: float = 1e-5) -> float:
-    """|| dL/dt - (ML - LM) || at time t along the exact flow.
-
-    dL/dt by second-order central differences, so the residual is O(h_fd^2).
-    """
-    dl = _central_difference(lambda tt: lax_matrices(exact_flow(s0, tt))[0].coeffs, t, h_fd)
-    lc, mc = (op.coeffs for op in lax_matrices(exact_flow(s0, t)))
-    return float(_norm(dl - (mc @ lc - lc @ mc)))
-
-
 def aux_algebraic(s: OscState) -> AuxValues:
     """Pointwise principal-branch auxiliary values at a state.
 
@@ -350,25 +331,3 @@ def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> AuxValues:
         *np.subtract(astuple(aux_dot), aux_generator(omega) @ astuple(aux))
     )
 
-
-def g_residuals_along(
-    path: Callable[[float], AuxValues], omega: float, t: float, h_fd: float = 1e-5
-) -> tuple[float, float, float, float]:
-    """The four rotation-law residuals of an arbitrary aux trajectory.
-
-    Time derivatives by central differences on ``path``; returns
-    (G(A)+, G(A)-, G(D)+, G(D)-).  Zero up to O(h_fd^2) iff the path obeys
-    the rotation laws.
-    """
-    rates = _central_difference(lambda tt: np.array(astuple(path(tt))), t, h_fd)
-    return astuple(g_values(path(t), AuxValues(*rates), omega))
-
-
-def g_residuals(
-    s0: OscState, t: float, h_fd: float = 1e-5
-) -> tuple[float, float, float, float]:
-    """Rotation-law residuals along the canonical smooth aux trajectory of s0."""
-    seed = aux_algebraic(s0)
-    return g_residuals_along(
-        lambda tt: aux_exact_flow(seed, s0.omega, tt), s0.omega, t, h_fd
-    )

@@ -215,3 +215,16 @@ def test_row_norms_of_eight_keep_numpy_bits(rows):
         got, want = _norm(rows_of, axis=1), np.linalg.norm(rows_of, axis=1)
         assert got.shape == want.shape == (rows,)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_row_norms_rescale_past_overflowing_squares():
+    # entries near 2**664 (about 1e200): the squares overflow, so each row is
+    # recomputed scaled by its largest magnitude; a power of two scales exactly
+    x = np.random.default_rng(13).standard_normal((7, 8))
+    for rows in (x[:1], x):
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(2.0**664 * rows, axis=1)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _norm(2.0**664 * rows, axis=1)
+        np.testing.assert_allclose(got, 2.0**664 * _norm(rows, axis=1), rtol=1e-15)

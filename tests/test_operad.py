@@ -440,8 +440,9 @@ def test_bracket_degree_bookkeeping():
         assert bracket(f, g).degree == nf + ng - 1
 
 
-def test_graded_antisymmetry_bit_exact():
+def test_graded_antisymmetry_bit_exact(monkeypatch):
     rng = np.random.default_rng(7)
+    pairs = []
     for _ in range(50):
         d = int(rng.integers(1, 4))
         f = random_op(rng, d, int(rng.integers(1, 4)))
@@ -450,6 +451,18 @@ def test_graded_antisymmetry_bit_exact():
         total = bracket(f, g).coeffs + s * bracket(g, f).coeffs
         assert not total.any()
         assert antisymmetry_residual(f, g) == 0.0
+        pairs.append((f, g))
+
+    # rounding is sign-symmetric, fl(a - b) = -fl(b - a), so the residual is
+    # 0 for any finite operands and cannot see a broken kernel: a total
+    # composition that drops its slot signs leaves it at 0, and only the
+    # Jacobi residual sees the mutant
+    def unsigned_total(rows, y, d, m, n):
+        return operad._placed(rows, y, d, m, n, range(m))[0].sum(axis=0)
+
+    monkeypatch.setattr(operad, "_total", unsigned_total)
+    assert all(antisymmetry_residual(f, g) == 0.0 for f, g in pairs)
+    assert max(jacobi_residual(f, g, f) for f, g in pairs) > 1.0
 
 
 def case_of(i, j, fr):

@@ -11,7 +11,6 @@ import pytest
 from operadlax import (
     COMPONENT_NAMES,
     AuxValues,
-    BranchLocusError,
     Operation,
     OscState,
     SolutionParams,
@@ -19,24 +18,20 @@ from operadlax import (
     aux_algebraic,
     aux_exact_flow,
     aux_generator,
-    classical_lax_residual,
     closed_form_mu,
     closed_form_path,
     energy,
-    g_residuals,
-    g_residuals_along,
     g_values,
     grid_lax_residual,
     hamilton_generator,
-    hamiltonian,
     lax_generator,
     lax_rhs_index,
     m_matrix,
     operadic_lax,
-    pde_residual,
     rk4_linear_path,
     verify_lax_representation,
 )
+from exact_algebra import A2, R2, fraction_matmul, fraction_rank, k_columns
 from reference_rhs import (
     aux_generator_reference,
     aux_rhs,
@@ -376,39 +371,6 @@ def test_on_shell_residual_vanishes():
             assert np.abs(resid).max() <= 1e-10
 
 
-def k_columns(c) -> list[list[Fraction]]:
-    """K(C) as exact fractions, column j being the family at a = e_j."""
-    params = SolutionParams(c)
-    cols = [closed_form_mu(AuxValues(*np.eye(4)[j]), params).values for j in range(4)]
-    return [[Fraction(cols[j][i]) for j in range(4)] for i in range(8)]
-
-
-def fraction_matmul(x, y):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
-
-
-def fraction_rank(rows) -> int:
-    """Rank by Gauss-Jordan elimination in exact arithmetic."""
-    rows, rank = [list(r) for r in rows], 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-# at omega = 2 both generators have small integer entries, so their floats
-# are exact; both are linear in omega, so an identity at 2 holds at every omega
-A2 = [[Fraction(x) for x in row] for row in lax_generator(2.0)]
-R2 = [[Fraction(x) for x in row] for row in aux_generator(2.0)]
-
-
 def test_closed_form_intertwines_lax_and_rotation_generators_exactly():
     # A(2) K(C) = K(C) R(2) in exact arithmetic: with a' = R a, the family
     # mu = K(C) a then obeys mu' = K(C) R a = A mu, which is what
@@ -634,66 +596,3 @@ def test_verify_report_structure():
     assert d["config"]["seed"] == 42
     assert d["config"]["c"] == [0, 0, 1, 0, 0, 0, 0, 0]
     assert d["config"]["omega"] == 1.0 and d["config"]["steps"] == 100
-
-
-def test_pde_residual_zero_params():
-    assert pde_residual(SolutionParams(np.zeros(8)), OscState(1, 1, 1.0)) == 0.0
-
-
-def test_pde_residual_seventh_parameter():
-    r = pde_residual(params_unit(6), OscState(1, 1, 1.0), 1e-5)
-    assert r <= 1e-6
-
-
-def test_pde_residual_second_order_in_h():
-    s = OscState(1, 1, 1.0)
-    params = params_unit(6)
-    r1 = pde_residual(params, s, 2e-3)
-    r2 = pde_residual(params, s, 1e-3)
-    assert 3.5 < r1 / r2 < 4.5
-
-
-def test_pde_residual_random_interior_states():
-    rng = np.random.default_rng(13)
-    count = 0
-    while count < 50:
-        q, p = rng.uniform(-2, 2, 2)
-        s = OscState(float(q), float(p), 1.0)
-        if hamiltonian(s) < 0.05 or abs(aux_algebraic(s).a_plus) < 0.3:
-            continue
-        count += 1
-        params = SolutionParams(rng.uniform(-1, 1, 8))
-        assert pde_residual(params, s, 1e-5) <= 1e-6
-
-
-def test_pde_residual_refuses_branch_locus():
-    with pytest.raises(BranchLocusError, match="branch"):
-        pde_residual(params_unit(6), OscState(0.0, -1.0, 1.0))
-
-
-def test_pde_residual_norm_does_not_overflow():
-    # |mu| is about 1e200, so the norm's squares overflow; scaling by a
-    # power of two keeps every other step exact
-    s = OscState(0.3, 1.1, 1.0)
-    big = 2.0 ** 664
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        r = pde_residual(SolutionParams([big] * 8), s)
-    assert r == pytest.approx(big * pde_residual(SolutionParams(np.ones(8)), s), rel=1e-15)
-
-
-STEP_CHECKED = {
-    "pde_residual": lambda h: pde_residual(SolutionParams(np.ones(8)), CANONICAL, h),
-    "classical_lax_residual": lambda h: classical_lax_residual(CANONICAL, 0.5, h),
-    "g_residuals": lambda h: g_residuals(CANONICAL, 0.5, h),
-    "g_residuals_along": lambda h: g_residuals_along(
-        lambda t: aux_exact_flow(aux_algebraic(CANONICAL), 1.0, t), 1.0, 0.5, h
-    ),
-}
-
-
-@pytest.mark.parametrize("h_fd", [0.0, -1e-4, math.nan, math.inf])
-@pytest.mark.parametrize("name", list(STEP_CHECKED))
-def test_finite_difference_step_must_be_positive(name, h_fd):
-    with pytest.raises(ValueError, match="h_fd"):
-        STEP_CHECKED[name](h_fd)

@@ -15,10 +15,7 @@ from operadlax import (
     aux_algebraic,
     aux_exact_flow,
     aux_generator,
-    classical_lax_residual,
     exact_flow,
-    g_residuals,
-    g_residuals_along,
     g_values,
     hamilton_generator,
     hamiltonian,
@@ -28,6 +25,7 @@ from operadlax import (
     rk4_linear_path,
     rk4_path,
 )
+from exact_algebra import OMEGAS, chain_jacobians, rational_points, rotation_chain
 from reference_rhs import _explicit_rhs, aux_rhs, hamilton_rhs, lax_rhs_bracket, lax_rhs_explicit
 
 
@@ -131,13 +129,9 @@ def test_rk4_path_blowup_reports_step():
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
 def test_aux_generator_rejects_bad_omega(omega):
-    # g_values and g_residuals_along apply the generator, so they refuse too
+    # g_values applies the generator, so it refuses too
     a = AuxValues(1.0, -0.5, 0.25, 2.0)
-    for call in (
-        lambda: aux_generator(omega),
-        lambda: g_values(a, a, omega),
-        lambda: g_residuals_along(lambda t: aux_exact_flow(a, 1.0, t), omega, 0.3),
-    ):
+    for call in (lambda: aux_generator(omega), lambda: g_values(a, a, omega)):
         with pytest.raises(ValueError, match="omega"):
             call()
 
@@ -277,16 +271,6 @@ def test_classical_lax_pair_intertwines_exactly():
         np.testing.assert_allclose(jh, ad_j, rtol=0, atol=4 * np.finfo(float).eps * scale)
 
 
-def test_classical_lax_residual():
-    assert classical_lax_residual(OscState(0, 0, 1.0), 1.0, 1e-4) == 0.0
-    r = classical_lax_residual(OscState(1, 0, 1.0), 0.3, 1e-4)
-    assert r <= 1e-7
-    r_half = classical_lax_residual(OscState(1, 0, 1.0), 0.3, 5e-5)
-    assert 3.5 < r / r_half < 4.5
-    # finite entries whose squares overflow: a finite norm and no warning
-    assert np.isfinite(classical_lax_residual(OscState(1e200, 1e200, 1.0), 0.3))
-
-
 def test_aux_algebraic_examples():
     a = aux_algebraic(OscState(0, 2, 1.0))
     assert (a.a_plus, a.a_minus, a.d_plus, a.d_minus) == (2.0, 0.0, 4.0, 0.0)
@@ -407,28 +391,16 @@ def test_cubic_norm_conservation():
         assert a.d_plus ** 2 + a.d_minus ** 2 == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def test_g_residuals_zero_state():
-    assert g_residuals(OscState(0, 0, 1.0), 0.5, 1e-4) == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_g_residuals_small_along_flow():
-    g = g_residuals(OscState(0, 2, 1.0), 0.7, 1e-4)
-    assert max(abs(x) for x in g) <= 1e-7
-
-
-def test_g_residuals_second_order_in_h():
-    g1 = g_residuals(OscState(0, 2, 1.0), 0.7, 1e-4)
-    g2 = g_residuals(OscState(0, 2, 1.0), 0.7, 5e-5)
-    for a, b in zip(g1, g2):
-        assert 3.0 < abs(a) / abs(b) < 5.0
-
-
-def test_g_residuals_detect_perturbed_trajectory():
-    s0 = OscState(0, 2, 1.0)
-
-    def perturbed(t):
-        s = exact_flow(s0, t)
-        return aux_algebraic(OscState(s.q, s.p + 0.1, s.omega))
-
-    g = g_residuals_along(perturbed, s0.omega, 0.7, 1e-4)
-    assert max(abs(x) for x in g) >= 1e-3
+def test_rotation_laws_are_hamiltons_flow_exactly():
+    # (A+ + i A-)^2 = 2 (p + i omega q): the Jacobian of (A+, A-) -> (q, p)
+    # takes the rate aux_generator gives (A+, A-) to hamilton_generator's,
+    # and that of (A+, A-) -> (D+, D-) takes it to aux_generator's (D+, D-)
+    # rows.  That Jacobian's determinant, -(A+^2 + A-^2) / omega, is nonzero,
+    # so Hamilton's flow allows no other rate; with A K(C) = K(C) R this is
+    # the transport equation X(mu) = [M, mu] on phase space
+    points = rational_points(seed=21)
+    for omega in OMEGAS:
+        for ap, am in points:
+            assert rotation_chain(omega, ap, am) == [0, 0, 0, 0]
+            _, ((j00, j01), (j10, j11)), _ = chain_jacobians(omega, ap, am)
+            assert j00 * j11 - j01 * j10 == -(ap * ap + am * am) / omega != 0
