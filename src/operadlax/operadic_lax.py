@@ -61,6 +61,7 @@ which is exactly the row-major layout of the (2, 2, 2) coefficient tensor.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,8 +237,9 @@ def _k_matrix(c: np.ndarray) -> tuple[np.ndarray, float]:
     ]), scale
 
 
-def _aux_rows(aux: AuxValues) -> np.ndarray:
-    a = np.array([aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus], dtype=float)
+def _aux_rows(aux: AuxValues, out=None) -> np.ndarray:
+    fields = [aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus]
+    a = np.array(fields, dtype=float) if out is None else np.stack(fields, out=out)
     return np.moveaxis(a, 0, -1)  # (..., 4): a stack of aux rows
 
 
@@ -339,6 +341,29 @@ def _energy_drift(qp: np.ndarray, omega: float) -> float:
     return _max_gap(energies, energies[0], energies)
 
 
+# verify's request-sized blocks, kept per thread between calls
+_WORKSPACE = threading.local()
+_WORKSPACE_BYTES = 32 << 20  # the most a thread keeps: about 1.9e5 steps
+
+
+def _verify_blocks(n: int) -> tuple[np.ndarray, ...]:
+    """C-contiguous float blocks for an n-sample verify call: the (4, n) aux
+    stack, mu_cf and the shared buffer, (n, 8) each, and the (n, 2) (q, p)
+    rows.  They are views of this thread's workspace, grown to fit, unless
+    they exceed ``_WORKSPACE_BYTES``: then they are fresh and the workspace
+    stays as it is."""
+    size = 22 * n
+    if 8 * size > _WORKSPACE_BYTES:
+        flat = np.empty(size)
+    elif getattr(_WORKSPACE, "flat", np.empty(0)).size >= size:
+        flat = _WORKSPACE.flat
+    else:
+        _WORKSPACE.flat = None  # the old block is freed before its successor
+        flat = _WORKSPACE.flat = np.empty(size)
+    return (flat[: 4 * n].reshape(4, n), flat[4 * n : 12 * n].reshape(n, 8),
+            flat[12 * n : 20 * n].reshape(n, 8), flat[20 * n : size].reshape(n, 2))
+
+
 def verify_lax_representation(
     params: SolutionParams,
     s0: OscState,
@@ -365,7 +390,14 @@ def verify_lax_representation(
     Both RK4 runs integrate linear systems as ``rk4_linear_path`` does
     (classical RK4, equal to a step-by-step loop up to rounding): the mu
     run with ``lax_generator``, the (q, p) run with Hamilton's generator.
-    The grid ts and each generator are formed once per call.
+    The grid ts and each generator are formed once per call.  The call's
+    four request-sized blocks (the aux stack, the closed form, the shared
+    (N, 8) buffer and the (q, p) rows) are views of a per-thread workspace
+    that is kept between calls and grown to fit, so a warm call does not
+    map them afresh.  Blocks above 32 MiB (about 1.9e5 steps) are fresh and
+    the workspace keeps none of them.  The report holds plain floats, so no
+    returned value aliases the workspace.  A one-shot process gains
+    nothing: its first call maps every page.
 
     A step t_end / steps that underflows to 0 raises ``ValueError``.
     Each check passes iff its max residual is <= tol.  A non-finite closed
@@ -386,13 +418,13 @@ def verify_lax_representation(
     omega = s0.omega
     ts = np.linspace(0.0, t_end, steps + 1)
     generator = lax_generator(omega)
+    # buf, the one other (N, 8) array: the norms' squares, the RK4 run of mu
+    # and its gap, then [M, mu] and the squares of d(mu)/dt - [M, mu]
+    stack, mu_cf, buf, qp = _verify_blocks(steps + 1)
 
-    rows = _aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts))
+    rows = _aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts), out=stack)
     k, scale = _k_matrix(params.values)
-    mu_cf = _times_k(rows, k, scale)
-    # the one other (N, 8) array: the norms' squares, the RK4 run of mu and
-    # its gap, then [M, mu] and the squares of d(mu)/dt - [M, mu]
-    buf = np.empty_like(mu_cf)
+    _times_k(rows, k, scale, out=mu_cf)
     norm_drift = _checked(lambda: _norm_drift(mu_cf, buf),
                           lambda: _require_finite("closed_form", mu_cf, ts))
 
@@ -411,7 +443,7 @@ def verify_lax_representation(
     lax_res = _checked(lambda: _max_norm(dmu, buf),
                        lambda: _require_finite("lax_equation_residual", dmu, ts))
 
-    qp = _rk4_linear_rows(hamilton_generator(omega), [s0.q, s0.p], t_end, steps)
+    _rk4_linear_rows(hamilton_generator(omega), [s0.q, s0.p], t_end, steps, qp)
     h_drift = _checked(lambda: _energy_drift(qp, omega),
                        lambda: _check_states("hamiltonian_drift: ", qp, ts))
 

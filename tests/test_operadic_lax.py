@@ -2,6 +2,10 @@
 and the end-to-end verification pipeline."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -11,6 +15,7 @@ import pytest
 from operadlax import (
     COMPONENT_NAMES,
     AuxValues,
+    IntegrationError,
     Operation,
     OscState,
     SolutionParams,
@@ -509,19 +514,25 @@ def verify_reference(params, s0, t_end, steps):
             np.max(np.abs(norms - norms[0])), np.max(np.abs(energies - energies[0]))]
 
 
+def oscillator_args(rng, steps):
+    """Arguments of ``verify_lax_representation``: a random oscillator and
+    C, over 1 to 10 whole periods."""
+    omega = 10 ** rng.uniform(-1, 1.5)
+    amplitude, phase = 10 ** rng.uniform(-2, 2), rng.uniform(0, 2 * math.pi)
+    s0 = OscState(amplitude * math.sin(phase) / omega, amplitude * math.cos(phase), omega)
+    params = SolutionParams(rng.uniform(-1, 1, 8))
+    t_end = int(rng.integers(1, 11)) * 2 * math.pi / omega
+    return params, s0, t_end, steps, 1e-7
+
+
 @pytest.mark.parametrize("steps", [2, 3, 1000, 4642])
 def test_verify_keeps_the_fresh_array_bits(steps):
     # the checks share buffers and scan only on failure: the same bits
     rng = np.random.default_rng(steps)
     for _ in range(4):
-        omega = 10 ** rng.uniform(-1, 1.5)
-        amplitude, phase = 10 ** rng.uniform(-2, 2), rng.uniform(0, 2 * math.pi)
-        s0 = OscState(amplitude * math.sin(phase) / omega, amplitude * math.cos(phase), omega)
-        params = SolutionParams(rng.uniform(-1, 1, 8))
-        t_end = int(rng.integers(1, 11)) * 2 * math.pi / omega
-        got = [c.max_residual for c in
-               verify_lax_representation(params, s0, t_end, steps, 1e-7).checks]
-        want = verify_reference(params, s0, t_end, steps)
+        args = oscillator_args(rng, steps)
+        got = [c.max_residual for c in verify_lax_representation(*args).checks]
+        want = verify_reference(*args[:4])
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -596,3 +607,150 @@ def test_verify_report_structure():
     assert d["config"]["seed"] == 42
     assert d["config"]["c"] == [0, 0, 1, 0, 0, 0, 0, 0]
     assert d["config"]["omega"] == 1.0 and d["config"]["steps"] == 100
+
+
+def outcome(args):
+    """What ``verify_lax_representation(*args)`` gives: each check with its
+    floats as hex, and the config, or the error's type and message."""
+    try:
+        rep = verify_lax_representation(*args)
+    except (IntegrationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(c.name, c.max_residual.hex(), c.tolerance.hex(), c.passed)
+            for c in rep.checks], rep.config
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) on a new thread, whose verify workspace starts empty."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn(*args)))
+    thread.start()
+    thread.join()
+    return result[0]
+
+
+# d(mu)/dt and [M, mu] overflow past a finite closed form: an
+# IntegrationError after the closed form and the RK4 gap (tests/test_cli.py)
+OVERFLOWING_DERIVATIVE = (SolutionParams([1e307] * 8), OscState(0.0, 1e-4, 1000.0),
+                          0.00628, 1000, 1e-7)
+# the RK4 run of mu turns non-finite at omega h = 250: its gap's scan raises
+NON_FINITE_GAP = (SolutionParams(np.linspace(-1, 1, 8)), OscState(0.0, 2.0, 1000.0),
+                  10.0, 40, 1e-7)
+# the (q, p) rows stay finite but their energies overflow: scanned, reported
+OVERFLOWING_ENERGY = (SolutionParams(np.zeros(8)), OscState(0.0, 2.0, 1000.0), 5.0, 20, 1e-7)
+
+
+def drawn(seed, *steps):
+    """``oscillator_args`` at each step count, from one generator."""
+    rng = np.random.default_rng(seed)
+    return [oscillator_args(rng, n) for n in steps]
+
+
+def reuse_sequence():
+    """9261, 10, 5000 and 9261 steps, with a call that fails partway
+    through, a gap scan that raises and an overflow reported between."""
+    a, b, c, d = drawn(1, 9261, 10, 5000, 9261)
+    return [a, OVERFLOWING_DERIVATIVE, b, NON_FINITE_GAP, c, OVERFLOWING_ENERGY, d]
+
+
+def test_verify_workspace_reuse_is_invisible():
+    # one thread runs the sequence on its workspace; each outcome is that
+    # of a fresh thread, whose workspace starts empty
+    sequence = reuse_sequence()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = [outcome(args) for args in sequence]
+        want = [in_fresh_thread(outcome, args) for args in sequence]
+    assert got == want
+    assert got[1] == ("IntegrationError",
+                      "lax_equation_residual: non-finite value at sample 0 (t = 0)")
+    assert got[3][0] == "IntegrationError" and got[3][1].startswith("closed_form_vs_rk4: ")
+    assert got[5][0][3][1] == math.inf.hex()
+
+
+def test_verify_leaves_held_arrays_alone():
+    params, s0, t_end, steps, tol = oscillator_args(np.random.default_rng(5), 9261)
+    omega = s0.omega
+    ts, mu_rk4 = rk4_linear_path(lax_generator(omega), [1, 0, 0, 0, 0, 0, 0, 1], t_end, steps)
+    mu_cf = closed_form_path(aux_algebraic(s0), omega, ts, params.values)
+    residual = grid_lax_residual(mu_cf, t_end / steps, omega)
+    held = [ts, mu_rk4, mu_cf, residual]
+    copies = [a.copy() for a in held]
+    for n in (steps, 5000, 10):
+        verify_lax_representation(params, s0, t_end, n, tol)
+    assert [a.tobytes() for a in held] == [a.tobytes() for a in copies]
+    workspace = operadic_lax._WORKSPACE.flat
+    assert not any(np.shares_memory(a, workspace) for a in held)
+
+
+def test_verify_threads_keep_their_own_workspace():
+    configs = reuse_sequence() + drawn(6, 1080, 2712, 7943, 3)
+    order = list(range(len(configs)))
+    # four mixes of the same configs, each run three times over
+    mixes = [3 * m for m in (order, order[::-1], order[1::2] + order[::2], order[3:] + order[:3])]
+    barrier = threading.Barrier(len(mixes))
+    results = [None] * len(mixes)
+
+    def run(i):
+        barrier.wait()
+        results[i] = [outcome(configs[j]) for j in mixes[i]]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        alone = [outcome(args) for args in configs]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(mixes))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    assert results == [[alone[j] for j in mix] for mix in mixes]
+
+
+def test_verify_keeps_no_block_above_the_cap(monkeypatch):
+    small, large = drawn(10, 100, 1000)
+    want = outcome(large)
+    # 22 floats a sample: a 100-step call fits, a 1000-step call does not
+    monkeypatch.setattr(operadic_lax, "_WORKSPACE_BYTES", 8 * 22 * 200)
+
+    def calls():
+        outcome(small)
+        kept = operadic_lax._WORKSPACE.flat
+        got = outcome(large)
+        after_large = operadic_lax._WORKSPACE.flat
+        outcome(small)
+        return kept, after_large, operadic_lax._WORKSPACE.flat, got
+
+    kept, after_large, after_small, got = in_fresh_thread(calls)
+    assert after_large is kept and after_small is kept and kept.nbytes <= 8 * 22 * 200
+    assert got == want
+
+
+# Faults are counted in a fresh interpreter, warmed up by one cycle of the
+# benchmark's 15 step counts in rising order: how many pages a call maps
+# depends on what earlier arrays left the allocator with (after one
+# 20000-step call, say, none of verify's arrays fault even without reuse).
+WARM_FAULTS = """
+import math, resource
+import numpy as np
+from operadlax import OscState, SolutionParams, verify_lax_representation
+def call(steps):
+    verify_lax_representation(SolutionParams(np.random.default_rng(15).uniform(-1, 1, 8)),
+                              OscState(0.4, -1.2, 1.7), 10 * math.pi / 1.7, steps, 1e-7)
+for i in range(15):
+    call(round(1000 * 10 ** ((i + 0.5) / 15)))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    call(9261)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+def test_verify_warm_call_maps_no_fresh_pages():
+    # without the workspace, a warm 9261-step call maps its four blocks
+    # afresh: about 330-460 minor page faults
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(operadic_lax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", WARM_FAULTS], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert float(proc.stdout) < 100

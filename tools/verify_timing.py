@@ -17,14 +17,16 @@ One ``verify`` request samples [0, t_end] at steps + 1 times and runs:
 
 Each figure is the best of several runs of a short loop, in
 microseconds per call, at 1e3 and 1e4 steps (the benchmark's range).  Then
-two lines: ``request_ms``, the mean in-process ``cli.main(["verify", cfg])``
-request over the benchmark's 15 step counts (log-spaced midpoints of
-[1e3, 1e4]; best of the repeated cycles), and ``minflt``, the minor page
-faults per warm 1e4-step ``verify_lax_representation`` call (``getrusage``
-over 100 calls after 20 warm-up calls).  The oscillator is the middle of
-the benchmark's draw: omega 1.7, five periods, amplitude about 1.  It uses
-public names only, so it also runs on older trees and shows where the time
-goes before and after a change:
+``request_ms``, the mean in-process ``cli.main(["verify", cfg])`` request
+over the benchmark's 15 step counts (log-spaced midpoints of [1e3, 1e4];
+best of the repeated cycles); one ``minflt`` line per step count, the minor
+page faults per warm ``verify_lax_representation`` call (``getrusage`` over
+40 calls after 5 warm-up calls, step counts in rising order); and
+``retained_bytes``, what the calling thread's verify workspace holds after
+them (``n/a`` on trees that have none).  The oscillator is the middle of
+the benchmark's draw: omega 1.7, five periods, amplitude about 1.  Apart
+from that last line it uses public names only, so it also runs on older
+trees and shows where the time goes before and after a change:
 
     PYTHONPATH=src python tools/verify_timing.py [--repeat N]
 """
@@ -55,6 +57,7 @@ from operadlax import (
     grid_lax_residual,
     hamilton_generator,
     lax_generator,
+    operadic_lax,
     rk4_linear_path,
     verify_lax_representation,
 )
@@ -124,15 +127,24 @@ def request_ms(repeat: int) -> float:
     return best / len(argvs) * 1e3
 
 
-def minor_faults() -> float:
-    """Minor page faults per warm 1e4-step call: 100 calls after 20."""
+def minor_faults(steps: int) -> float:
+    """Minor page faults per warm call at this step count: 40 calls after 5."""
     s0, params, t_end = oscillator()
-    for _ in range(20):
-        verify_lax_representation(params, s0, t_end, 10_000, 1e-7)
+    for _ in range(5):
+        verify_lax_representation(params, s0, t_end, steps, 1e-7)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(100):
-        verify_lax_representation(params, s0, t_end, 10_000, 1e-7)
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100
+    for _ in range(40):
+        verify_lax_representation(params, s0, t_end, steps, 1e-7)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40
+
+
+def retained_bytes() -> str:
+    """The bytes of the calling thread's verify workspace, if the tree has one."""
+    workspace = getattr(operadic_lax, "_WORKSPACE", None)
+    if workspace is None:
+        return "n/a"
+    flat = getattr(workspace, "flat", None)
+    return str(0 if flat is None else flat.nbytes)
 
 
 def main():
@@ -145,7 +157,10 @@ def main():
             print(f"{name} {steps} {best_us(fn, args.repeat):.1f}")
     print(f"setup 2 {setup_us(args.repeat):.1f}")
     print(f"request_ms {request_ms(args.repeat):.3f} (mean of {len(REQUEST_STEPS)} step counts)")
-    print(f"minflt {minor_faults():.1f} (per warm 10000-step call)")
+    print("minflt steps per_warm_call")
+    for steps in REQUEST_STEPS:
+        print(f"minflt {steps} {minor_faults(steps):.1f}")
+    print(f"retained_bytes {retained_bytes()}")
 
 
 if __name__ == "__main__":
