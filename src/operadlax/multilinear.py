@@ -46,9 +46,9 @@ class Operation:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
+        if not (_is_int(self.dim) and self.dim >= 1):
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if self.degree < 1:
+        if not (_is_int(self.degree) and self.degree >= 1):
             raise ValueError(
                 f"degree must be a positive integer, got {self.degree} "
                 "(degree-0 constants are not supported)"
@@ -70,6 +70,11 @@ class Operation:
         return self.degree - 1
 
 
+def _is_int(k) -> bool:
+    """Whether k is a Python or numpy integer (a float such as 2.0 is not)."""
+    return isinstance(k, (int, np.integer))
+
+
 def _check_finite(arr: np.ndarray, entry: str = "coefficient at flat index") -> np.ndarray:
     """``arr``, or a ValueError naming its first non-finite ``entry``."""
     # count_nonzero takes half the time of all() on an operation's few entries
@@ -81,7 +86,7 @@ def _check_finite(arr: np.ndarray, entry: str = "coefficient at flat index") -> 
 
 def identity_op(dim: int) -> Operation:
     """The degree-1 identity operation, coeffs[i, j] = delta_ij."""
-    if dim < 1:
+    if not (_is_int(dim) and dim >= 1):
         raise ValueError(f"dim must be a positive integer, got {dim}")
     return Operation(dim, 1, np.eye(dim))
 

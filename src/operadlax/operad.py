@@ -25,12 +25,10 @@ with one right operand (or a stack of equal-degree ones) in one matrix
 product.  A cached index plan per (d, degree) gathers the left operands'
 entries, slot axis last, into rows of length d: the operand layout of a
 tensor contraction over that axis.  A cached plan per (d, degrees) then
-takes each output entry from the product; composed tensors of more than
-``_PLANNED_SIZE`` entries are composed one left operand and slot at a time
-and placed through strided views instead, so that no plan and no array is
-large.  Every output entry is therefore the same length-d dot product of
-the same operands as a one-composition call makes, and the signs are
-applied to the placed blocks.
+takes each output entry from the product, at every size.  Every output
+entry is therefore the same length-d dot product of the same operands as a
+one-composition call makes, and the signs are applied to the placed
+blocks.
 
 The composition relation is written once, in ``_relation_residuals``,
 which takes the grid of (i, j) in chunks: the whole grid of a triple, or
@@ -49,7 +47,7 @@ import math
 
 import numpy as np
 
-from .multilinear import Operation, _check_finite, _norm
+from .multilinear import Operation, _check_finite, _is_int, _norm
 
 __all__ = [
     "partial_compose",
@@ -69,9 +67,6 @@ _SLOT_ROWS: dict[tuple[int, ...], np.ndarray] = {}
 _PLACEMENTS: dict[tuple[int, ...], np.ndarray] = {}
 _RELATION_ROWS: dict[tuple[int, ...], np.ndarray] = {}
 
-# the most entries of a composed tensor placed through a plan: the plans of
-# every shape up to degree 3 at d <= 3 then hold about 0.2 MB
-_PLANNED_SIZE = 729
 # the most entries of the arrays that one chunk of the relation grid makes
 _CHUNK_SIZE = 16384
 
@@ -132,37 +127,19 @@ def _product(rows: np.ndarray, right: np.ndarray) -> np.ndarray:
     return rows * right if len(right) == 1 else rows.dot(right)
 
 
-def _large(rows: np.ndarray, right: np.ndarray, d: int, m: int, n: int, slots: range):
-    """The compositions of ``_placed`` one left operand b and slot i at a
-    time, for composed tensors too large for a plan, so that every array
-    stays small: yields b, the position of i in ``slots`` and the block as
-    a strided view shaped (K, d^(i+1), d^n, rest)."""
-    cols = d ** n
-    K, blocks = right.shape[1] // cols, rows.reshape(-1, len(slots), d ** m, d)
-    for b in range(len(blocks)):
-        for s, i in enumerate(slots):
-            prod = _product(blocks[b, s], right).reshape(d ** (i + 1), -1, K, cols)
-            yield b, s, prod.transpose(2, 0, 3, 1)
-
-
 def _placed(rows: np.ndarray, y: np.ndarray, d: int, m: int, n: int, slots: range) -> np.ndarray:
     """x_b o_i y_k without its sign, from the rows of the degree-m left
     operands x_b at the slots i and the stack y of flattened degree-n
     tensors, shaped (K, d^(n+1)): (K * B, S, d^(m+n)), k outer."""
-    K, size, S = len(y), d ** (m + n), len(slots)
+    K = len(y)
     right = y.reshape(d, -1) if K == 1 else y.reshape(K, d, -1).transpose(1, 0, 2).reshape(d, -1)
-    if size <= _PLANNED_SIZE:
-        prod = _product(rows, right)
-        if K > 1:
-            prod = prod.reshape(-1, K, d ** n).transpose(1, 0, 2)
-        plan = _placements(d, m, n)
-        if S < m:
-            plan = plan[slots.start:slots.stop] - slots.start * size
-        return prod.reshape(-1, plan.size).take(plan, axis=1)
-    out = np.empty((K, len(rows) // (S * d ** m), S, size), np.result_type(rows, right))
-    for b, s, src in _large(rows, right, d, m, n, slots):
-        np.copyto(out[:, b, s].reshape(src.shape), src)
-    return out.reshape(-1, S, size)
+    prod = _product(rows, right)
+    if K > 1:
+        prod = prod.reshape(-1, K, d ** n).transpose(1, 0, 2)
+    plan = _placements(d, m, n)
+    if len(slots) < m:
+        plan = plan[slots.start:slots.stop] - slots.start * d ** (m + n)
+    return prod.reshape(-1, plan.size).take(plan, axis=1)
 
 
 def _signed(out: np.ndarray, n: int, slots: range, s: int = 1) -> np.ndarray:
@@ -190,22 +167,10 @@ def _compose(x: np.ndarray, y: np.ndarray, d: int, m: int, n: int, slots: range 
 def _total(rows: np.ndarray, y: np.ndarray, d: int, m: int, n: int) -> np.ndarray:
     """x • y from the rows of one degree-m tensor x and one flattened
     degree-n tensor y: the partial compositions summed in slot order."""
-    negated, right = _odd_slots_negated(n), y.reshape(d, -1)
-    if d ** (m + n) <= _PLANNED_SIZE:
-        parts = _product(rows, right).take(_placements(d, m, n))
-        acc = parts[0]
-        for i in range(1, m):
-            acc = acc - parts[i] if negated and i & 1 else acc + parts[i]
-        return acc
-    acc = np.empty(d ** (m + n), np.result_type(rows, y))
-    for _, i, src in _large(rows, right, d, m, n, range(m)):
-        dst = acc.reshape(src.shape)
-        if i == 0:
-            np.copyto(dst, src)
-        elif negated and i & 1:
-            np.subtract(dst, src, out=dst)
-        else:
-            np.add(dst, src, out=dst)
+    parts = _product(rows, y.reshape(d, -1)).take(_placements(d, m, n))
+    negated, acc = _odd_slots_negated(n), parts[0]
+    for i in range(1, m):
+        acc = acc - parts[i] if negated and i & 1 else acc + parts[i]
     return acc
 
 
@@ -328,6 +293,11 @@ def _dim(*ops: Operation) -> int:
     return ops[0].dim
 
 
+def _check_slot(name: str, k) -> None:
+    if not _is_int(k):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+
+
 def _flat(op: Operation) -> np.ndarray:
     return op.coeffs.reshape(1, -1)
 
@@ -339,6 +309,7 @@ def _composed(res: np.ndarray, f: Operation, g: Operation) -> Operation:
 
 def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
     """f o_i g: contract g into input slot i of f, sign (-1)^(i*|g|)."""
+    _check_slot("slot", i)
     if not 0 <= i <= f.reduced_degree:
         raise ValueError(
             f"slot {i} out of range 0..{f.reduced_degree} for a degree-"
@@ -384,6 +355,8 @@ def composition_relation_residual(
     Zero (up to rounding) in the endomorphism operad.  This is the cell
     (i, j) of ``composition_relation_residuals``, from the same kernel.
     """
+    _check_slot("i", i)
+    _check_slot("j", j)
     hr, fr = h.reduced_degree, f.reduced_degree
     if not 0 <= i <= hr:
         raise ValueError(f"i = {i} outside slot range 0..{hr} of h")
@@ -420,7 +393,9 @@ def unit_residual(f: Operation) -> float:
 
 
 def antisymmetry_residual(f: Operation, g: Operation) -> float:
-    """Frobenius norm of [f, g] + (-1)^(|f||g|) [g, f]; exactly 0 here."""
+    """Frobenius norm of [f, g] + (-1)^(|f||g|) [g, f]: 0.0 for any finite
+    operands, rounding being sign-symmetric, so it cannot catch a dropped sign
+    (``jacobi_residual`` and test_kernel_residuals_vanish_exactly_on_integers do)."""
     d, m, n, x, y = _dim(f, g), f.degree, g.degree, _flat(f), _flat(g)
     s = _sign(f.reduced_degree * g.reduced_degree)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -194,7 +194,7 @@ def lax_rhs_index(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
     """
     mu = np.asarray(mu, dtype=float)
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
+    n = len(m) if m.ndim else 0  # a 0-d m has no length, and fails the check
     if m.shape != (n, n) or mu.shape[-3:] != (n, n, n):
         raise ValueError(f"shape mismatch: mu {mu.shape}, m {m.shape}")
     return (
@@ -285,8 +285,12 @@ def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
 
     Second-order central differences inside, second-order one-sided at the
     endpoints, so the result scales as dt^2 for smooth trajectories.  Needs
-    at least 3 samples and a positive, finite dt (ValueError otherwise).
+    mu shaped (samples, 8) with at least 3 samples and a positive, finite
+    dt (ValueError otherwise).
     """
+    mu = np.asarray(mu)
+    if mu.ndim != 2 or mu.shape[1] != 8:
+        raise ValueError(f"grid_lax_residual needs mu shaped (samples, 8), got {mu.shape}")
     if mu.shape[0] < 3:
         raise ValueError(f"grid_lax_residual needs at least 3 samples, got {mu.shape[0]}")
     if not (math.isfinite(dt) and dt > 0):

@@ -53,6 +53,22 @@ def test_operation_rejects_degree_zero():
         Operation(2, 0, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("dim, degree, name", [
+    (2, 2.5, "degree"), (2, 2.0, "degree"), (2.0, 2, "dim"), (1.5, 1, "dim"), ("2", 2, "dim"),
+])
+def test_operation_rejects_non_integer_dim_or_degree(dim, degree, name):
+    value = dim if name == "dim" else degree
+    with pytest.raises(ValueError, match=rf"^{name} must be a positive integer, got {value}"):
+        Operation(dim, degree, np.zeros(8))
+
+
+def test_operation_takes_numpy_integers():
+    op = Operation(np.int64(2), np.int32(2), np.arange(8))
+    np.testing.assert_array_equal(op.coeffs.ravel(), np.arange(8))
+    assert op.reduced_degree == 1
+    np.testing.assert_array_equal(identity_op(np.int8(3)).coeffs, np.eye(3))
+
+
 def test_coeffs_are_read_only():
     op = Operation(2, 1, np.eye(2))
     with pytest.raises(ValueError):
@@ -67,6 +83,8 @@ def test_identity_op(dim):
 def test_identity_op_rejects_dim_zero():
     with pytest.raises(ValueError):
         identity_op(0)
+    with pytest.raises(ValueError, match=r"^dim must be a positive integer, got 2.5$"):
+        identity_op(2.5)
 
 
 def test_evaluate_identity():

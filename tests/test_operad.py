@@ -86,6 +86,12 @@ def test_partial_compose_structure_example():
 def test_partial_compose_validations():
     with pytest.raises(ValueError, match="slot"):
         partial_compose(MU111, ROT, 2)
+    for slot in (0.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match=r"^slot must be an integer, got "):
+            partial_compose(MU111, ROT, slot)
+    # numpy integers are slots
+    assert (partial_compose(MU111, ROT, np.int64(1)).coeffs.tobytes()
+            == partial_compose(MU111, ROT, 1).coeffs.tobytes())
     with pytest.raises(ValueError, match="dim"):
         partial_compose(MU111, identity_op(3), 0)
     # the kernel checks dims itself: the residuals never build an Operation
@@ -310,16 +316,33 @@ def every_kernel_bits(seed):
     return out
 
 
-@pytest.mark.parametrize("planned_size", [0, 10**9])
-def test_planned_size_switch_keeps_every_bit(monkeypatch, planned_size):
-    """Composed tensors are placed through index plans up to
-    ``_PLANNED_SIZE`` entries and through strided views above it; either
-    route alone gives every shape's results bit for bit."""
+def empty_plans(monkeypatch):
+    """Give ``operad`` empty index-plan caches for one test: returns them."""
+    plans = [{}, {}, {}]
+    for name, cache in zip(("_SLOT_ROWS", "_PLACEMENTS", "_RELATION_ROWS"), plans):
+        monkeypatch.setattr(operad, name, cache)
+    return plans
+
+
+def test_fresh_plans_keep_every_bit(monkeypatch):
+    """Every composed tensor, at every size, is placed through the cached
+    index plan of its shape: plans built afresh give every shape's results
+    bit for bit."""
     want = every_kernel_bits(25)
-    for cache in ("_SLOT_ROWS", "_PLACEMENTS", "_RELATION_ROWS"):
-        monkeypatch.setattr(operad, cache, {})
-    monkeypatch.setattr(operad, "_PLANNED_SIZE", planned_size)
+    empty_plans(monkeypatch)
     assert every_kernel_bits(25) == want
+
+
+# the bytes that the index plans may hold once every shape with d <= 3 and
+# degrees <= 3 has run: CACHE_BUDGET of tools/axioms_timing.py
+PLAN_BUDGET = 1 << 20
+
+
+def test_plans_of_every_shape_fit_the_budget(monkeypatch):
+    plans = empty_plans(monkeypatch)
+    every_kernel_bits(26)
+    held = sum(plan.nbytes for cache in plans for plan in cache.values())
+    assert 0 < held <= PLAN_BUDGET
 
 
 def kernel_residuals(rng, d, degrees):
@@ -511,6 +534,12 @@ def test_composition_relation_range_errors():
         composition_relation_residual(h, f, g, 0, 3)
     with pytest.raises(ValueError, match="slot range"):
         composition_relation_residual(h, f, g, 2, 0)
+    for i, j, name in ((0, 1.0, "j"), (0.0, 1, "i"), (0.5, 0.5, "i"), (0, "1", "j")):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            composition_relation_residual(h, f, g, i, j)
+    # numpy integers are slots
+    assert (composition_relation_residual(h, f, g, np.int64(1), np.int32(2))
+            == composition_relation_residual(h, f, g, 1, 2))
 
 
 def test_jacobi_identity_degree1_and_mixed():

@@ -125,6 +125,12 @@ def test_lax_rhs_index_matches_hand_expansion():
     assert not lax_rhs_index(mu, np.zeros((2, 2))).any()
 
 
+@pytest.mark.parametrize("m", [1.0, np.zeros(2), np.zeros((2, 3)), np.zeros((3, 3))])
+def test_lax_rhs_index_refuses_a_misshaped_m(m):
+    with pytest.raises(ValueError, match=r"^shape mismatch: mu \(2, 2, 2\), m "):
+        lax_rhs_index(np.zeros((2, 2, 2)), m)
+
+
 def test_lax_rhs_index_dim3():
     # the index route works beyond dim 2; cross-check against the bracket
     rng = np.random.default_rng(2)
@@ -464,6 +470,18 @@ def test_grid_lax_residual_keeps_the_reference_bits(rows):
 def test_grid_lax_residual_needs_three_samples(rows):
     with pytest.raises(ValueError, match="at least 3 samples"):
         grid_lax_residual(np.ones((rows, 8)), 0.1, 1.3)
+
+
+@pytest.mark.parametrize("mu", [np.ones((5, 4)), np.ones((5, 8, 1)), np.ones(8), [1.0, 2.0, 3.0]])
+def test_grid_lax_residual_needs_rows_of_eight(mu):
+    with pytest.raises(ValueError, match=r"needs mu shaped \(samples, 8\), got \("):
+        grid_lax_residual(mu, 0.1, 1.3)
+
+
+def test_grid_lax_residual_takes_a_list_of_rows():
+    mu = np.random.default_rng(8).standard_normal((5, 8))
+    assert (grid_lax_residual(mu.tolist(), 0.1, 1.3).tobytes()
+            == grid_lax_residual(mu, 0.1, 1.3).tobytes())
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf, -math.inf])
