@@ -110,6 +110,9 @@ class RunConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not self.t_end / self.steps > 0:  # a step that underflows moves no run
+            raise ValueError(
+                f"step t_end / steps must be positive, got {self.t_end} / {self.steps}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.c is not None:
@@ -260,12 +263,10 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
         aux = rk4(aux_generator(omega), astuple(a0)).T
         mu = rk4(lax_generator(omega), closed_form_mu(a0, params).values)
 
-    # overflow in derived columns is caught by the caller's finite-value scan,
-    # and so is the residual of a step that underflows to 0, which is NaN
-    dt = cfg.t_end / cfg.steps
+    # overflow in derived columns is caught by the caller's finite-value scan
     with np.errstate(over="ignore", invalid="ignore"):
         energies = energy(q, p, omega)
-        resid = grid_lax_residual(mu, dt, omega) if dt > 0 else np.full(len(ts), math.nan)
+        resid = grid_lax_residual(mu, cfg.t_end / cfg.steps, omega)
     return [ts, q, p, energies, *aux, *mu.T, resid]
 
 

@@ -263,9 +263,9 @@ def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants
 
     Linear both in the parameters and in (A+, A-, D+, D-); evaluated on an
     aux trajectory it solves the operadic Lax equation.  Evaluated at the
-    rotation-law residuals G (``g_values``) it gives the closed form's
-    Lax-equation residuals K(C) G, for any (aux, aux_dot) at all (see the
-    module docstring).
+    rotation-law residuals G = a_dot - R a (R = ``aux_generator``) it gives
+    the closed form's Lax-equation residuals K(C) G, for any (aux, aux_dot)
+    at all (see the module docstring).
     """
     return StructureConstants2(_mu_components(aux, params.values))
 
@@ -316,15 +316,13 @@ def _require_finite(stage: str, values: np.ndarray, ts: np.ndarray) -> None:
 def _checked(reduce, scan) -> float:
     """``reduce()``, a float that is non-finite whenever one of the rows it
     reduces is, so ``scan()`` (which raises at the first non-finite row)
-    runs only then.  Finite rows whose reduction overflows are reduced
-    again outside the ``errstate``, so numpy warns as when the scan came
-    first."""
+    runs only then.  A reduction that overflows over finite rows is
+    returned as it is, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         value = reduce()
-    if math.isfinite(value):
-        return value
-    scan()
-    return reduce()
+    if not math.isfinite(value):
+        scan()
+    return value
 
 
 def _max_gap(a, b, out) -> float:

@@ -19,8 +19,10 @@ The auxiliary functions A+, A-, D+, D- are defined implicitly by
 equivalently D+ + i D- = (A+ + i A-)^3 / 2.  The algebraic system fixes
 (A+, A-) only up to a global sign; two evaluations are provided:
 
-* ``aux_algebraic``  - pointwise principal branch, A+ >= 0 (non-smooth on
-  the half-line q = 0, p < 0 where A+ hits zero);
+* ``aux_algebraic``  - pointwise principal branch, A+ + i A- =
+  sqrt(2 (p + i w q)) with A+ >= 0, the root chosen by the sign of p and A-
+  given the sign of w q (non-smooth on the half-line q = 0, p < 0 where
+  A+ hits zero);
 * ``aux_exact_flow`` - the smooth dynamic continuation from a t = 0 seed,
   which rotates (A+, A-) at frequency w/2 and (D+, D-) at 3w/2 and is
   4*pi/w periodic (it crosses sign, so it can differ from the pointwise
@@ -31,7 +33,7 @@ The rotation laws are exactly the vanishing of the residuals
 
     G(A)+- = dA+-/dt +- (w/2) A-+,   G(D)+- = dD+-/dt +- (3w/2) D-+,
 
-computed by ``g_values`` from given rates (a_dot - R a, R = ``aux_generator``).
+that is a_dot - R a with R = ``aux_generator`` (the tests' ``g_values``).
 They are Hamilton's flow pulled back through (q, p) = (A+ A- / w,
 (A+^2 - A-^2) / 2), and its cube for (D+, D-) (an exact test proves both).
 Each law is written once: ``energy``, ``exact_path`` and ``aux_exact_flow``
@@ -42,7 +44,7 @@ take array times, and the scalar APIs wrap them.  Hand-expanded forms are in
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,7 +67,6 @@ __all__ = [
     "aux_algebraic",
     "aux_exact_flow",
     "aux_generator",
-    "g_values",
 ]
 
 
@@ -267,23 +268,27 @@ def lax_matrices(s: OscState) -> tuple[Operation, Operation]:
 
 
 def aux_algebraic(s: OscState) -> AuxValues:
-    """Pointwise principal-branch auxiliary values at a state.
+    """Pointwise principal-branch auxiliary values at a state: the root
+    A+ + i A- = sqrt(2 (p + i w q)) with A+ >= 0.
 
-    A+ = sqrt(sqrt(2H) + p) >= 0 and A- = w q / A+; when A+ falls below
-    eps = 1e-12 (1 + sqrt(2H)) the roles swap (A- = sqrt(sqrt(2H) - p),
-    A+ = w q / A-) to avoid catastrophic cancellation near p = -sqrt(2H).
-    At the origin (H = 0) all four values are 0 by continuity.
+    The root is chosen by the sign of p, so that each square root is taken
+    of a sum of two non-negative terms and nothing cancels (Kahan, "Branch
+    Cuts for Complex Elementary Functions", 1987).  With rt = sqrt(2H):
+    for p >= 0, A+ = sqrt(rt + p) and A- = w q / A+; for p < 0,
+    |A-| = sqrt(rt - p), A- takes the sign of w q (+ for a zero w q) and
+    A+ = w q / A-.  At the origin (H = 0) all four values are 0 by
+    continuity.
     """
     rt = math.sqrt(2.0 * hamiltonian(s))
     if rt == 0.0:
         return AuxValues(0.0, 0.0, 0.0, 0.0)
     wq = s.omega * s.q
-    eps = 1e-12 * (1.0 + rt)
-    ap = math.sqrt(max(rt + s.p, 0.0))
-    if ap > eps:
+    if s.p >= 0.0:
+        ap = math.sqrt(rt + s.p)
         am = wq / ap
     else:
-        am = math.sqrt(max(rt - s.p, 0.0))
+        am = math.sqrt(rt - s.p)
+        am = -am if wq < 0.0 else am
         ap = wq / am
     dp = 0.5 * ap * (ap * ap - 3.0 * am * am)
     dm = 0.5 * am * (3.0 * ap * ap - am * am)
@@ -322,12 +327,3 @@ def aux_generator(omega: float) -> np.ndarray:
     bits as the Kronecker product of diag(1, 3) with M."""
     _check_omega(omega)
     return (0.5 * omega) * _AUX_PATTERN
-
-
-def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> AuxValues:
-    """Rotation-law residuals (G(A)+, G(A)-, G(D)+, G(D)-) of an arbitrary
-    (values, rates) pair: aux_dot - R aux, with R = ``aux_generator(omega)``."""
-    return AuxValues(
-        *np.subtract(astuple(aux_dot), aux_generator(omega) @ astuple(aux))
-    )
-

@@ -7,6 +7,8 @@ that the tests can compare the generators against them.
 
 * ``hamilton_rhs``  - Hamilton's equations, (p, -omega^2 q);
 * ``aux_rhs``       - the rotation laws of (A+, A-, D+, D-);
+* ``g_values``      - their residuals a_dot - R a for any (values, rates)
+  pair, with R = ``aux_generator(omega)``;
 * ``_explicit_rhs`` and ``lax_rhs_explicit`` - the eight expanded ODEs of
   the operadic Lax equation d(mu)/dt = [M, mu] in dim 2;
 * ``lax_rhs_bracket`` - [M, mu] through the abstract Gerstenhaber bracket;
@@ -14,8 +16,14 @@ that the tests can compare the generators against them.
   sums of products C_i a_j, which the package forms as one matrix product;
 * ``lax_generator_reference`` and ``aux_generator_reference`` - the two
   generators built from M = ``m_matrix(omega)`` on each call, the routes the
-  package's constant patterns scaled by omega/2 replace bit for bit.
+  package's constant patterns scaled by omega/2 replace bit for bit;
+* ``aux_reference`` and ``assert_within_ulps`` - the principal aux seed
+  (A+, A-) to 60 digits, and the ulp bound ``aux_algebraic`` is held to.
 """
+
+import math
+from dataclasses import astuple
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -24,6 +32,7 @@ from operadlax import (
     Operation,
     OscState,
     StructureConstants2,
+    aux_generator,
     bracket,
     lax_rhs_index,
     m_matrix,
@@ -41,6 +50,14 @@ def aux_rhs(a: AuxValues, omega: float) -> AuxValues:
     w = 0.5 * omega
     return AuxValues(
         -w * a.a_minus, w * a.a_plus, -3.0 * w * a.d_minus, 3.0 * w * a.d_plus
+    )
+
+
+def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> AuxValues:
+    """Rotation-law residuals (G(A)+, G(A)-, G(D)+, G(D)-) of an arbitrary
+    (values, rates) pair: aux_dot - R aux, with R = ``aux_generator(omega)``."""
+    return AuxValues(
+        *np.subtract(astuple(aux_dot), aux_generator(omega) @ astuple(aux))
     )
 
 
@@ -112,3 +129,24 @@ def lax_generator_reference(omega: float) -> np.ndarray:
 def aux_generator_reference(omega: float) -> np.ndarray:
     """M and 3 M on the diagonal: ``np.kron(diag(1, 3), M)``."""
     return np.kron(np.diag([1.0, 3.0]), m_matrix(omega).coeffs)
+
+
+def aux_reference(q, p, omega):
+    """(A+, A-) of the principal root sqrt(2 (p + i omega q)) to 60 digits,
+    rounded once.  The larger of |A+| and |A-| is sqrt(rt + |p|), with
+    rt = sqrt(2H), and the other is omega q over it: no digit cancels, at
+    any ratio of p to omega q."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        wq, p = Decimal(omega) * Decimal(q), Decimal(p)
+        big = ((p * p + wq * wq).sqrt() + abs(p)).sqrt()
+        if p >= 0:
+            return float(big), float(wq / big)
+        big = -big if wq < 0 else big  # A- takes the sign of omega q
+        return float(wq / big), float(big)
+
+
+def assert_within_ulps(a, q, p, omega, ulps=4):
+    want = aux_reference(q, p, omega)
+    for got, ref in zip((a.a_plus, a.a_minus), want):
+        assert abs(got - ref) <= ulps * math.ulp(ref), (q, p, omega, got, ref)

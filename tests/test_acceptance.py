@@ -23,7 +23,6 @@ from operadlax import (
     closed_form_mu,
     composition_relation_residual,
     frobenius_norm,
-    g_values,
     hamilton_generator,
     hamiltonian,
     jacobi_residual,
@@ -42,7 +41,7 @@ from exact_algebra import (
     rotation_chain,
     transport_residual,
 )
-from reference_rhs import aux_rhs, lax_rhs_bracket, lax_rhs_explicit
+from reference_rhs import aux_rhs, g_values, lax_rhs_bracket, lax_rhs_explicit
 
 CANONICAL = OscState(0.0, 2.0, 1.0)
 TWO_PI = 2.0 * math.pi

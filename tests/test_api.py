@@ -11,8 +11,8 @@ import operadlax
 from operadlax import cli
 
 # the names exported by version 0.1.0, less the aliases, wrappers,
-# hand-expanded right-hand sides and finite-difference checkers removed
-# since; each must stay importable
+# hand-expanded right-hand sides, finite-difference checkers and test-only
+# residuals removed since; each must stay importable
 EARLIER_NAMES = (
     "Operation identity_op evaluate linear_comb frobenius_norm "
     "partial_compose total_compose bracket composition_relation_residual "
@@ -22,20 +22,21 @@ EARLIER_NAMES = (
     "aux_algebraic aux_exact_flow "
     "COMPONENT_NAMES StructureConstants2 SolutionParams "
     "CheckResult VerificationReport m_matrix "
-    "lax_rhs_index closed_form_mu g_values "
+    "lax_rhs_index closed_form_mu "
     "verify_lax_representation"
 ).split()
 
 # removed on purpose: five aliases and wrappers, then the four hand-expanded
 # right-hand sides, which the generators replace (the tests keep those in
 # tests/reference_rhs.py), then the finite-difference checkers, whose
-# statements the tests prove exactly (tests/exact_algebra.py)
+# statements the tests prove exactly (tests/exact_algebra.py), then
+# g_values, which only the tests call (tests/reference_rhs.py)
 REMOVED_NAMES = (
     "make_operation", "closed_form_mu_dot", "RotationResiduals", "rk4_integrate",
     "reduced_lax_residuals",
     "hamilton_rhs", "aux_rhs", "lax_rhs_bracket", "lax_rhs_explicit",
     "classical_lax_residual", "g_residuals", "g_residuals_along", "pde_residual",
-    "BranchLocusError",
+    "BranchLocusError", "g_values",
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -46,9 +47,9 @@ def test_all_is_unique_resolvable_and_keeps_earlier_names():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(operadlax, name) is not None
-    assert len(EARLIER_NAMES) == 32
+    assert len(EARLIER_NAMES) == 31
     assert set(EARLIER_NAMES) <= set(names)
-    assert len(names) == 40
+    assert len(names) == 39
     for name in REMOVED_NAMES:
         assert name not in names
         assert not hasattr(operadlax, name)

@@ -681,13 +681,13 @@ def test_infinite_energy_is_one_error_line(tmp_path, capsys, argv, line):
 
 
 def test_simulate_step_underflowing_to_zero_is_one_error_line(tmp_path, capsys):
-    # t_end / steps rounds to 0: the residual column is refused as non-finite
+    # t_end / steps rounds to 0: refused as bad input, as verify refuses it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, ["simulate", "--t-end", "5e-324", "--steps", "2",
                                       "--c", C1])
-    assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: non-finite value in sample 0"]
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: step t_end / steps must be positive, got 5e-324 / 2"]
 
 
 def test_verify_step_underflowing_to_zero_is_one_error_line(tmp_path, capsys):
@@ -703,6 +703,36 @@ def test_verify_step_underflowing_to_zero_is_one_error_line(tmp_path, capsys):
 
 def reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
+
+
+def test_verify_overflowing_energy_drift_is_reported_quietly(tmp_path, capsys):
+    # C = 0 keeps mu at 0; the (q, p) run grows past the stability bound
+    # but stays finite while its energies overflow: the drift is reported
+    # as Infinity, and no numpy warning reaches stderr
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    argv = ["verify", str(path), "--omega", "1000", "--t-end", "5", "--steps", "20",
+            "--c", "0,0,0,0,0,0,0,0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    checks = {c["name"]: (c["max_residual"], c["pass"]) for c in json.loads(out)["checks"]}
+    assert checks == {"closed_form_vs_rk4": (0.0, True), "lax_equation_residual": (0.0, True),
+                      "mu_norm_drift": (0.0, True), "hamiltonian_drift": (math.inf, False)}
+
+
+@pytest.mark.parametrize("p0", ["1e30", "1e-30"])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_extreme_momentum_runs_to_a_report(tmp_path, capsys, command, p0):
+    # q0 = 0 and p0 far from 1: the aux seed stays finite, so the command
+    # prints its report or table and exits 0 or 1
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    argv = ["verify", str(path)] if command == "verify" else ["simulate"]
+    code, out, err = run(capsys, [*argv, "--p0", p0])
+    assert code in (0, 1)
+    assert out and "Traceback" not in err
 
 
 def test_huge_finite_closed_form_has_finite_norms(tmp_path, capsys):

@@ -26,7 +26,6 @@ from operadlax import (
     closed_form_mu,
     closed_form_path,
     energy,
-    g_values,
     grid_lax_residual,
     hamilton_generator,
     lax_generator,
@@ -41,6 +40,7 @@ from reference_rhs import (
     aux_generator_reference,
     aux_rhs,
     closed_form_reference,
+    g_values,
     lax_generator_reference,
     lax_rhs_bracket,
     lax_rhs_explicit,
@@ -556,9 +556,9 @@ def test_verify_keeps_the_fresh_array_bits(steps):
 
 def test_verify_reports_an_overflowing_energy_drift():
     # at omega h = 250 the RK4 run of (q, p) grows about 1e8-fold a step:
-    # finite over 20 steps, but its energies overflow
+    # finite over 20 steps, but its energies overflow, with no warning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         rep = verify_lax_representation(
             SolutionParams(np.zeros(8)), OscState(0.0, 2.0, 1000.0), 5.0, 20, 1e-7
         )

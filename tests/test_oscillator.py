@@ -16,7 +16,6 @@ from operadlax import (
     aux_exact_flow,
     aux_generator,
     exact_flow,
-    g_values,
     hamilton_generator,
     hamiltonian,
     lax_generator,
@@ -26,7 +25,15 @@ from operadlax import (
     rk4_path,
 )
 from exact_algebra import OMEGAS, chain_jacobians, rational_points, rotation_chain
-from reference_rhs import _explicit_rhs, aux_rhs, hamilton_rhs, lax_rhs_bracket, lax_rhs_explicit
+from reference_rhs import (
+    _explicit_rhs,
+    assert_within_ulps,
+    aux_rhs,
+    g_values,
+    hamilton_rhs,
+    lax_rhs_bracket,
+    lax_rhs_explicit,
+)
 
 
 def rk4_integrate(s0, t_end, steps):
@@ -300,10 +307,71 @@ def test_aux_algebraic_defining_relations_random():
 
 
 def test_aux_algebraic_branch_switch_region():
-    # near p = -sqrt(2H) the division anchor swaps without losing accuracy
+    # near p = -sqrt(2H), where A+ falls to 0, the relations hold as elsewhere
     for q in (1e-14, -1e-14, 0.0, 1e-9):
         s = OscState(q, -2.0, 1.0)
         check_defining_relations(aux_algebraic(s), s)
+
+
+@pytest.mark.parametrize("q, p", [(0.0, 1e-30), (0.0, 3e24), (0.0, 1e30), (0.0, 1e150),
+                                  (1e14, 1e30)])
+def test_aux_algebraic_holds_at_extreme_momenta(q, p):
+    # p >= 0 far from amplitude 1, where A+ = sqrt(2 p) and sqrt(2H) lie
+    # decades apart; the relations hold relative to 2 sqrt(2H)
+    s = OscState(q, p, 1.0)
+    a = aux_algebraic(s)
+    assert all(math.isfinite(x) for x in astuple(a))
+    scale = 2.0 * math.sqrt(2.0 * hamiltonian(s))
+    eps = np.finfo(float).eps
+    assert abs(a.a_plus ** 2 + a.a_minus ** 2 - scale) <= 4 * eps * scale
+    assert abs(a.a_plus ** 2 - a.a_minus ** 2 - 2 * p) <= 4 * eps * scale
+    assert abs(a.a_plus * a.a_minus - s.omega * q) <= 4 * eps * scale
+
+
+@pytest.mark.parametrize("q", [-1e-14, -1e-9, -1e-7])
+def test_aux_algebraic_is_principal_near_its_cut(q):
+    # just below the cut q = 0, p < 0: A+ is tiny and positive, A- near -2
+    a = aux_algebraic(OscState(q, -2.0, 1.0))
+    assert a.a_plus >= 0.0 and a.a_minus < 0.0
+    assert_within_ulps(a, q, -2.0, 1.0)
+
+
+@pytest.mark.parametrize("q, p", [(1.0, -1e4), (1e-3, -1.0), (1e5, -1e10), (0.3, -1.2)])
+def test_aux_algebraic_is_accurate_for_negative_momentum(q, p):
+    # sqrt(rt + p) cancels here; the seed takes sqrt(rt - p) instead
+    assert_within_ulps(aux_algebraic(OscState(q, p, 1.0)), q, p, 1.0)
+
+
+def threshold_seed(s):
+    """A seed rule that swaps roots below a fixed threshold 1e-12 (1 + rt).
+    On p >= 0 states where the threshold does not fire it is the p >= 0
+    formula, so it pins that formula's bits."""
+    rt = math.sqrt(2.0 * hamiltonian(s))
+    if rt == 0.0:
+        return AuxValues(0.0, 0.0, 0.0, 0.0)
+    wq = s.omega * s.q
+    eps = 1e-12 * (1.0 + rt)
+    ap = math.sqrt(max(rt + s.p, 0.0))
+    if ap > eps:
+        am = wq / ap
+    else:
+        am = math.sqrt(max(rt - s.p, 0.0))
+        ap = wq / am
+    dp = 0.5 * ap * (ap * ap - 3.0 * am * am)
+    dm = 0.5 * am * (3.0 * ap * ap - am * am)
+    return AuxValues(ap, am, dp, dm)
+
+
+def test_aux_algebraic_keeps_its_bits_for_nonnegative_momentum():
+    # amplitudes 1e-9 to 1e9, where sqrt(rt + p) >= sqrt(rt) clears the
+    # threshold 1e-12 (1 + rt) by far
+    values = [0.0, 1e-9, 3e-5, 0.25, 1.0, 2.0, 7.5, 1e3, 4e6, 1e9]
+    for omega in (1e-3, 0.37, 1.0, 3.0, 1e3):
+        for q in values + [-x for x in values]:
+            for p in values + [-0.0]:
+                s = OscState(q / omega, p, omega)
+                got, want = astuple(aux_algebraic(s)), astuple(threshold_seed(s))
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), s
 
 
 def test_aux_cubic_identity():

@@ -1,6 +1,7 @@
 """Property tests: the generator routes against the hand-expanded oracles,
-over omega in [1e-3, 1e3] and amplitudes across 200 decades, and simulate's
-JSON table against ``json.dumps`` for any finite doubles."""
+over omega in [1e-3, 1e3] and amplitudes across 200 decades, the aux seed
+against a 60-digit reference over amplitudes across 24 decades, and
+simulate's JSON table against ``json.dumps`` for any finite doubles."""
 
 import json
 import math
@@ -14,8 +15,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from operadlax import AuxValues, cli, g_values, grid_lax_residual, lax_generator  # noqa: E402
-from reference_rhs import _explicit_rhs, aux_rhs  # noqa: E402
+from operadlax import (  # noqa: E402
+    AuxValues,
+    OscState,
+    aux_algebraic,
+    cli,
+    grid_lax_residual,
+    lax_generator,
+)
+from reference_rhs import _explicit_rhs, assert_within_ulps, aux_rhs, g_values  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -50,6 +58,22 @@ def test_grid_lax_residual_matches_eight_ode_reference(omega, x, y):
 def test_g_values_matches_reference(omega, aux, aux_dot):
     want = np.subtract(astuple(aux_dot), astuple(aux_rhs(aux, omega)))
     np.testing.assert_array_equal(astuple(g_values(aux, aux_dot, omega)), want)
+
+
+# any angle of p + i omega q, save those so close to the p axis that
+# omega q is subnormal and holds fewer bits than the ulp bound asks of A-
+phases = st.one_of(st.just(0.0), st.floats(1e-280, math.pi), st.floats(-math.pi, -1e-280))
+
+
+@properties
+@given(omega=omegas, amplitude=st.floats(-12.0, 12.0).map(lambda x: 10.0 ** x),
+       phase=phases)
+def test_aux_algebraic_is_the_principal_root_to_a_few_ulps(omega, amplitude, phase):
+    # sqrt(2H) = amplitude
+    p, q = amplitude * math.cos(phase), amplitude * math.sin(phase) / omega
+    a = aux_algebraic(OscState(q, p, omega))
+    assert a.a_plus >= 0.0
+    assert_within_ulps(a, q, p, omega)
 
 
 # any finite double: drawn as a float, and as a raw bit pattern, which

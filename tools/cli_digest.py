@@ -99,9 +99,10 @@ OUT_STEPS = [1022, 1023, 1024, 2047, 2048, 20000]
 # overflowing at q0 = 1e200, a finite closed form whose d(mu)/dt
 # overflows, verify's failure order (the RK4 run of mu, the RK4 run of
 # (q, p), and the closed form named before the RK4 run that fails with it),
-# a finite report with residuals near 1e302 and a verify step that
-# underflows to 0 (each appended last, so earlier labels keep their
-# commands)
+# a finite report with residuals near 1e302, a verify step that
+# underflows to 0, the same step in simulate, and a verify report whose
+# energy drift overflows to Infinity over finite states (each appended
+# last, so earlier labels keep their commands)
 BIG = "1" + "0" * 400
 ERROR_CONFIGS = {
     "base": json.dumps({"omega": 1.0, "q0": 0.0, "p0": 2.0, "t_end": 6.283185307179586,
@@ -143,6 +144,20 @@ ERROR_ARGV = [
     ["verify", "{empty}", "--c", ",".join(["3e307"] * 8), "--q0", "0", "--p0", "0.5",
      "--steps", "100"],
     ["verify", "{empty}", "--t-end", "5e-324", "--steps", "2"],
+    ["simulate", "--t-end", "5e-324", "--steps", "2"],
+    ["verify", "{empty}", "--omega", "1000", "--t-end", "5", "--steps", "20",
+     "--c", "0,0,0,0,0,0,0,0"],
+]
+
+
+# the aux seed at momenta far from 1 (q0 = 0), where A+ = sqrt(2 p) and
+# sqrt(2H) = p lie decades apart, and just below its branch cut q = 0, p < 0
+SEED_ARGV = [
+    ["verify", "{empty}", "--p0", "1e30"],
+    ["verify", "{empty}", "--p0", "1e-30"],
+    ["simulate", "--p0", "1e30"],
+    ["simulate", "--p0", "1e-30"],
+    ["simulate", "--q0=-1e-9", "--p0", "-2"],  # argparse reads "-1e-9" as a flag
 ]
 
 
@@ -210,6 +225,9 @@ def main():
                     argv = ["simulate", "--config", str(path), "--steps", str(steps),
                             "--integrator", integrator, "--format", fmt, "--out", str(out_path)]
                     print(f"simulate-out-{steps}-{integrator}-{fmt}", run(argv, out_path))
+        path.write_text("{}")
+        for k, argv in enumerate(SEED_ARGV):
+            print(f"seed-{k}", run([a.format(empty=path) for a in argv]))
 
 
 if __name__ == "__main__":
