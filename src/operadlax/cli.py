@@ -31,6 +31,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, fields
@@ -374,6 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(ver, tol=True)
     ver.set_defaults(func=cmd_verify)
 
+    # "-" and a digit or a point starts a value, not a flag: argparse's own
+    # pattern misses exponents ("-1e-9") and lists ("-0.5,0,...")
+    for command in (ax, sim, ver):
+        command._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

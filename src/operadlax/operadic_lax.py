@@ -335,7 +335,8 @@ def _max_norm(values: np.ndarray, squares: np.ndarray) -> float:
 
 def _norm_drift(mu: np.ndarray, squares: np.ndarray) -> float:
     norms = _norm(mu, axis=1, out=squares)
-    return _max_gap(norms, norms[0], norms)
+    # past an infinite first norm the gaps are inf - inf; that drift is infinite
+    return _max_gap(norms, norms[0], norms) if math.isfinite(norms[0]) else math.inf
 
 
 def _energy_drift(qp: np.ndarray, omega: float) -> float:

@@ -20,9 +20,9 @@ equivalently D+ + i D- = (A+ + i A-)^3 / 2.  The algebraic system fixes
 (A+, A-) only up to a global sign; two evaluations are provided:
 
 * ``aux_algebraic``  - pointwise principal branch, A+ + i A- =
-  sqrt(2 (p + i w q)) with A+ >= 0, the root chosen by the sign of p and A-
-  given the sign of w q (non-smooth on the half-line q = 0, p < 0 where
-  A+ hits zero);
+  sqrt(2 (p + i w q)) with A+ >= 0, taken by ``cmath.sqrt`` with a zero
+  w q read as +0 (non-smooth on the half-line q = 0, p < 0 where A+ hits
+  zero);
 * ``aux_exact_flow`` - the smooth dynamic continuation from a t = 0 seed,
   which rotates (A+, A-) at frequency w/2 and (D+, D-) at 3w/2 and is
   4*pi/w periodic (it crosses sign, so it can differ from the pointwise
@@ -43,6 +43,7 @@ take array times, and the scalar APIs wrap them.  Hand-expanded forms are in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -94,7 +95,7 @@ _AUX_PATTERN = _pattern(np.kron(np.diag([1.0, 3.0]), _ROTATION))
 
 @dataclass(frozen=True)
 class OscState:
-    """Phase-space point (q, p) with fixed angular frequency omega > 0."""
+    """Phase-space point (q, p) at angular frequency omega > 0, with a finite energy H."""
 
     q: float
     p: float
@@ -104,6 +105,9 @@ class OscState:
         if not (math.isfinite(self.q) and math.isfinite(self.p)):
             raise ValueError(f"non-finite state (q, p) = ({self.q}, {self.p})")
         _check_omega(self.omega)
+        if not math.isfinite(energy(self.q, self.p, self.omega)):
+            raise ValueError(f"energy H of (q, p, omega) = ({self.q}, {self.p}, {self.omega}) "
+                             "is not a finite double")
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,11 @@ def exact_path(s0: OscState, ts):
     """Closed-form (q, p) at the times ts (a scalar or an array): rotation
     of (q, p/omega) at frequency omega."""
     w = s0.omega
-    wt = w * ts
-    c, s = np.cos(wt), np.sin(wt)
-    return s0.q * c + (s0.p / w) * s, s0.p * c - w * s0.q * s
+    # an overflowing phase or p / omega gives non-finite values; callers report them
+    with np.errstate(over="ignore", invalid="ignore"):
+        wt = w * ts
+        c, s = np.cos(wt), np.sin(wt)
+        return s0.q * c + (s0.p / w) * s, s0.p * c - w * s0.q * s
 
 
 def exact_flow(s0: OscState, t: float) -> OscState:
@@ -213,11 +219,11 @@ def _rk4_linear_rows(a, y0, t_end: float, steps: int, out=None) -> np.ndarray:
     leaves non-finite rows for the caller's ``_check_states``), written
     into ``out`` when given."""
     y = np.asarray(y0, dtype=float)
-    ha = (t_end / steps) * np.asarray(a, dtype=float)
     ys = np.empty((steps + 1, y.size)) if out is None else out
     ys[0] = y
     eye = np.eye(y.size)
     with np.errstate(over="ignore", invalid="ignore"):
+        ha = (t_end / steps) * np.asarray(a, dtype=float)
         power = eye + ha / 4.0
         for d in (3.0, 2.0, 1.0):
             power = eye + (ha @ power) / d
@@ -269,27 +275,13 @@ def lax_matrices(s: OscState) -> tuple[Operation, Operation]:
 
 def aux_algebraic(s: OscState) -> AuxValues:
     """Pointwise principal-branch auxiliary values at a state: the root
-    A+ + i A- = sqrt(2 (p + i w q)) with A+ >= 0.
-
-    The root is chosen by the sign of p, so that each square root is taken
-    of a sum of two non-negative terms and nothing cancels (Kahan, "Branch
-    Cuts for Complex Elementary Functions", 1987).  With rt = sqrt(2H):
-    for p >= 0, A+ = sqrt(rt + p) and A- = w q / A+; for p < 0,
-    |A-| = sqrt(rt - p), A- takes the sign of w q (+ for a zero w q) and
-    A+ = w q / A-.  At the origin (H = 0) all four values are 0 by
-    continuity.
+    A+ + i A- = sqrt(2 (p + i w q)) with A+ >= 0, from ``cmath.sqrt``,
+    which takes the root without cancellation (Kahan, "Branch Cuts for
+    Complex Elementary Functions", 1987).  A zero w q is read as +0, so
+    A- >= 0 on the cut q = 0, p < 0; at the origin all four values are 0.
     """
-    rt = math.sqrt(2.0 * hamiltonian(s))
-    if rt == 0.0:
-        return AuxValues(0.0, 0.0, 0.0, 0.0)
-    wq = s.omega * s.q
-    if s.p >= 0.0:
-        ap = math.sqrt(rt + s.p)
-        am = wq / ap
-    else:
-        am = math.sqrt(rt - s.p)
-        am = -am if wq < 0.0 else am
-        ap = wq / am
+    z = cmath.sqrt(complex(2.0 * s.p, 2.0 * (s.omega * s.q) + 0.0))
+    ap, am = z.real, z.imag
     dp = 0.5 * ap * (ap * ap - 3.0 * am * am)
     dm = 0.5 * am * (3.0 * ap * ap - am * am)
     return AuxValues(ap, am, dp, dm)
@@ -306,12 +298,12 @@ def aux_exact_flow(a0: AuxValues, omega: float, t) -> AuxValues:
     sin 3x = s (3 c^2 - s^2), so D+ + i D- = (A+ + i A-)^3 / 2 holds along
     the flow to rounding at any t, and 3x is never rounded.
     """
-    half = 0.5 * omega * t
-    c1, s1 = np.cos(half), np.sin(half)
-    cc, ss = c1 * c1, s1 * s1
-    c3, s3 = c1 * (cc - 3.0 * ss), s1 * (3.0 * cc - ss)
-    # an infinite seed (H overflowed) gives non-finite values; callers report them
+    # an overflowing phase omega t / 2 gives non-finite values; callers report them
     with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * omega * t
+        c1, s1 = np.cos(half), np.sin(half)
+        cc, ss = c1 * c1, s1 * s1
+        c3, s3 = c1 * (cc - 3.0 * ss), s1 * (3.0 * cc - ss)
         return AuxValues(
             a0.a_plus * c1 - a0.a_minus * s1,
             a0.a_minus * c1 + a0.a_plus * s1,

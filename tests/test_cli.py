@@ -33,6 +33,8 @@ HEADER = (
 )
 
 C1 = "1,0,0,0,0,0,0,0"
+# the error line for q0 = 1e200 at p0 = 2, omega = 1
+INFINITE_ENERGY = "error: energy H of (q, p, omega) = (1e+200, 2.0, 1.0) is not a finite double"
 
 
 def run(capsys, argv):
@@ -261,12 +263,17 @@ def test_simulate_writes_the_same_bytes_to_file_and_stdout(tmp_path, capsys, mon
 
 
 def test_simulate_non_finite_sample_writes_no_file(tmp_path, capsys):
-    # H overflows at q0 = 1e200: the scan fails before any output is opened
+    # H overflows at q0 = 1e200, so the state is refused; the closed form
+    # overflows at c = 1e308, so the scan fails: both before any output is opened
     path = tmp_path / "table.csv"
-    code, out, err = run(capsys, ["simulate", "--q0", "1e200", "--c", C1, "--out", str(path)])
-    assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: non-finite value in sample 0"]
-    assert not path.exists()
+    for flags, want, line in [
+        (["--q0", "1e200", "--c", C1], 2, INFINITE_ENERGY),
+        (["--c", ",".join(["1e308"] * 8)], 1, "error: non-finite value in sample 0"),
+    ]:
+        code, out, err = run(capsys, ["simulate", *flags, "--out", str(path)])
+        assert (code, out) == (want, "")
+        assert err.splitlines() == [line]
+        assert not path.exists()
 
 
 def g17_edge_values(rng):
@@ -665,19 +672,18 @@ def test_verify_names_the_first_failing_stage(tmp_path, capsys, flags, line):
     assert err.splitlines() == [line]
 
 
-@pytest.mark.parametrize("argv, line", [
-    (["verify", "{config}", "--q0", "1e200"],
-     "error: closed_form: non-finite value at sample 0 (t = 0)"),
-    (["simulate", "--q0", "1e200", "--c", C1], "error: non-finite value in sample 0"),
+@pytest.mark.parametrize("argv", [
+    ["verify", "{config}", "--q0", "1e200"],
+    ["simulate", "--q0", "1e200", "--c", C1],
 ], ids=["verify", "simulate"])
-def test_infinite_energy_is_one_error_line(tmp_path, capsys, argv, line):
-    # H overflows at q0 = 1e200, so the aux seed is infinite
+def test_infinite_energy_is_one_error_line(tmp_path, capsys, argv):
+    # H overflows at q0 = 1e200: the state is refused as bad input
     config = write_config(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, _, err = run(capsys, [a.format(config=config) for a in argv])
-    assert code == 1
-    assert err.splitlines() == [line]
+        code, out, err = run(capsys, [a.format(config=config) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [INFINITE_ENERGY]
 
 
 def test_simulate_step_underflowing_to_zero_is_one_error_line(tmp_path, capsys):
@@ -720,6 +726,18 @@ def test_verify_overflowing_energy_drift_is_reported_quietly(tmp_path, capsys):
     checks = {c["name"]: (c["max_residual"], c["pass"]) for c in json.loads(out)["checks"]}
     assert checks == {"closed_form_vs_rk4": (0.0, True), "lax_equation_residual": (0.0, True),
                       "mu_norm_drift": (0.0, True), "hamiltonian_drift": (math.inf, False)}
+
+
+def test_verify_overflowing_norm_drift_is_infinite(tmp_path, capsys):
+    # the closed form is finite, but its norm is past the largest double
+    # from t = 0 on: the drift is Infinity, not inf - inf = NaN
+    path = write_config(tmp_path, c=[1.7e308, 0, 0, 0, 0, 0, 0, 0], p0=0.5, t_end=1.0, steps=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", str(path)])
+    assert (code, err) == (1, "")
+    checks = {c["name"]: (c["max_residual"], c["pass"]) for c in json.loads(out)["checks"]}
+    assert checks["mu_norm_drift"] == (math.inf, False)
 
 
 @pytest.mark.parametrize("p0", ["1e30", "1e-30"])
@@ -780,3 +798,25 @@ def test_flag_overrides_config(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", str(path), "--tol", "1e-30"])
     assert code == 1
     assert json.loads(out)["config"]["tol"] == 1e-30
+
+
+@pytest.mark.parametrize("flag, value, line", [
+    ("--q0", "-1e-9", None),
+    ("--p0", "-2e-3", None),
+    ("--q0", "-.5", None),
+    ("--c", "-0.5,0,0,0,0,0,0,0", None),
+    ("--t-end", "-1e3", "error: t_end must be positive, got -1000.0"),
+    ("--omega", "-1", "error: omega must be positive and finite, got -1.0"),
+])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_flag_value_reads_the_same_in_both_forms(tmp_path, capsys, command, flag,
+                                                          value, line):
+    # a value in exponent or list form after the flag is a value, not a flag
+    argv = (["simulate", "--steps", "20"] if command == "simulate"
+            else ["verify", str(write_config(tmp_path, steps=20))])
+    code, out, err = run(capsys, [*argv, flag, value])
+    assert (code, out, err) == run(capsys, [*argv, f"{flag}={value}"])
+    if line is None:
+        assert code in (0, 1) and out and err == ""
+    else:
+        assert (code, out, err.splitlines()) == (2, "", [line])

@@ -1,8 +1,11 @@
 """Property tests: the generator routes against the hand-expanded oracles,
 over omega in [1e-3, 1e3] and amplitudes across 200 decades, the aux seed
-against a 60-digit reference over amplitudes across 24 decades, and
-simulate's JSON table against ``json.dumps`` for any finite doubles."""
+against a 60-digit reference over amplitudes across 24 decades,
+simulate's JSON table against ``json.dumps`` for any finite doubles, and
+the CLI's exit contract under extreme flag values."""
 
+import contextlib
+import io
 import json
 import math
 import struct
@@ -93,3 +96,67 @@ def test_json_table_matches_json_dumps(values):
     names = cli.CSV_HEADER.split(",")
     rows = [dict(zip(names, row)) for row in table.tolist()]
     assert cli._format_table(table, "json") == json.dumps(rows, indent=2) + "\n"
+
+
+# flag values: signed zeros, the least subnormal, 1e-300 to 1.7e308 of
+# either sign (their repr is in exponent form), and omega in [1e-3, 1e3]
+# and amplitudes across 24 decades, with either sign
+signs = st.sampled_from([1.0, -1.0])
+magnitudes = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.7e308]),
+    st.floats(-300.0, 308.0).map(lambda x: 10.0 ** x),
+    omegas,
+    st.floats(-12.0, 12.0).map(lambda x: 10.0 ** x),
+)
+flag_values = st.builds(lambda s, m: s * m, signs, magnitudes)
+commands = st.sampled_from(
+    [["verify", "{config}"]]
+    + [["simulate", "--integrator", i, "--format", f] for i in ("exact", "rk4")
+       for f in ("csv", "json")]
+)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process run; an argparse usage
+    error is an exit code too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@properties
+@given(command=commands, steps=st.integers(2, 64),
+       values=st.fixed_dictionaries({}, optional={
+           flag: flag_values for flag in ("--omega", "--q0", "--p0", "--t-end", "--c")}))
+def test_cli_keeps_its_exit_contract(tmp_path_factory, command, steps, values):
+    config = tmp_path_factory.getbasetemp() / "empty.json"
+    config.write_text("{}")
+    texts = {flag: repr(x) + (",0.5,-0.25,0,0,0,0,0" if flag == "--c" else "")
+             for flag, x in values.items()}
+    argv = [a.format(config=config) for a in command] + ["--steps", str(steps)]
+    space = argv + [a for flag, text in texts.items() for a in (flag, text)]
+    code, out, err = run_cli(space)
+    # the same argv gives the same bytes, and a value after "=" reads the same
+    assert run_cli(space) == (code, out, err)
+    assert run_cli(argv + [f"{flag}={text}" for flag, text in texts.items()]) == (code, out, err)
+    assert code in (0, 1, 2)
+    if code == 0 or (code == 1 and err == ""):
+        assert err == ""
+        if command[0] == "verify":
+            report = json.loads(out)
+            assert not any(math.isnan(c["max_residual"]) for c in report["checks"])
+        elif "csv" in command:
+            lines = out.splitlines()
+            assert lines[0] == cli.CSV_HEADER and len(lines) == steps + 2
+            assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
+        else:
+            rows = json.loads(out)
+            assert len(rows) == steps + 1 and list(rows[0]) == cli.CSV_HEADER.split(",")
+    else:
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")

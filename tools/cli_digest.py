@@ -95,14 +95,17 @@ OUT_STEPS = [1022, 1023, 1024, 2047, 2048, 20000]
 
 
 # bad input (exit 2) and numeric failures (exit 1): the bad-input cases of
-# tests/test_cli.py plus the closed form overflowing at t = 0, H
-# overflowing at q0 = 1e200, a finite closed form whose d(mu)/dt
-# overflows, verify's failure order (the RK4 run of mu, the RK4 run of
-# (q, p), and the closed form named before the RK4 run that fails with it),
-# a finite report with residuals near 1e302, a verify step that
-# underflows to 0, the same step in simulate, and a verify report whose
-# energy drift overflows to Infinity over finite states (each appended
-# last, so earlier labels keep their commands)
+# tests/test_cli.py plus the closed form overflowing at t = 0, a state
+# refused at q0 = 1e200, where H overflows, a finite closed form whose
+# d(mu)/dt overflows, verify's failure order (the RK4 run of mu, the RK4
+# run of (q, p), and the closed form named before the RK4 run that fails
+# with it), a finite report with residuals near 1e302, a verify step that
+# underflows to 0, the same step in simulate, a verify report whose
+# energy drift overflows to Infinity over finite states, a closed form
+# whose phase omega t overflows, simulate's p / omega overflowing at
+# omega = 5e-324, and a state refused at omega = 1.7e308, where
+# omega^2 q^2 is inf * 0 (each appended last, so earlier labels keep
+# their commands)
 BIG = "1" + "0" * 400
 ERROR_CONFIGS = {
     "base": json.dumps({"omega": 1.0, "q0": 0.0, "p0": 2.0, "t_end": 6.283185307179586,
@@ -147,6 +150,9 @@ ERROR_ARGV = [
     ["simulate", "--t-end", "5e-324", "--steps", "2"],
     ["verify", "{empty}", "--omega", "1000", "--t-end", "5", "--steps", "20",
      "--c", "0,0,0,0,0,0,0,0"],
+    ["verify", "{empty}", "--omega=1e150", "--t-end=1e160", "--steps=50"],
+    ["simulate", "--omega=5e-324", "--steps=4"],
+    ["verify", "{empty}", "--omega=1.7e308", "--steps=50"],
 ]
 
 
@@ -157,7 +163,15 @@ SEED_ARGV = [
     ["verify", "{empty}", "--p0", "1e-30"],
     ["simulate", "--p0", "1e30"],
     ["simulate", "--p0", "1e-30"],
-    ["simulate", "--q0=-1e-9", "--p0", "-2"],  # argparse reads "-1e-9" as a flag
+    ["simulate", "--q0=-1e-9", "--p0", "-2"],
+]
+
+
+# negative flag values in exponent and list form, after the flag: the
+# first reads as seed-4, written with "="
+NEGATIVE_ARGV = [
+    ["simulate", "--q0", "-1e-9", "--p0", "-2"],
+    ["simulate", "--c", "-0.5,0,0,0,0,0,0,0", "--steps", "20"],
 ]
 
 
@@ -228,6 +242,8 @@ def main():
         path.write_text("{}")
         for k, argv in enumerate(SEED_ARGV):
             print(f"seed-{k}", run([a.format(empty=path) for a in argv]))
+    for k, argv in enumerate(NEGATIVE_ARGV):
+        print(f"negative-{k}", run(argv))
 
 
 if __name__ == "__main__":
