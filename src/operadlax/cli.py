@@ -51,8 +51,8 @@ from .operadic_lax import (
     SolutionParams,
     closed_form_mu,
     closed_form_path,
-    grid_lax_residual,
     lax_generator,
+    step_defect,
     verify_lax_representation,
 )
 from .oscillator import (
@@ -267,7 +267,7 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
     # overflow in derived columns is caught by the caller's finite-value scan
     with np.errstate(over="ignore", invalid="ignore"):
         energies = energy(q, p, omega)
-        resid = grid_lax_residual(mu, cfg.t_end / cfg.steps, omega)
+        resid = step_defect(mu, omega, cfg.t_end / cfg.steps)
     return [ts, q, p, energies, *aux, *mu.T, resid]
 
 

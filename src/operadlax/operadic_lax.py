@@ -15,7 +15,7 @@ A = (omega/2) P, with the integer pattern P of M = J = [[0, -1], [1, 0]]
 built once, at import, from the index form on the basis tensors; a call
 only scales it.  It is the one production
 route to [M, mu]: it drives the RK4 runs of mu, the verifier's Lax
-residual and ``grid_lax_residual``.  The abstract bracket
+residual and, as exp(hA), ``step_defect``'s exact step.  The abstract bracket
 and the eight hand-expanded ODEs for dim 2 live in the tests
 (``tests/reference_rhs.py``) as independent oracles; the agreement of all
 routes is a test target, not an assumption.
@@ -93,7 +93,7 @@ __all__ = [
     "lax_generator",
     "closed_form_mu",
     "closed_form_path",
-    "grid_lax_residual",
+    "step_defect",
     "verify_lax_representation",
 ]
 
@@ -273,38 +273,37 @@ def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants
 def closed_form_path(
     a0: AuxValues, omega: float, ts, c, aux: AuxValues | None = None
 ) -> np.ndarray:
-    """Closed-form mu along the smooth aux flow from the seed a0, shape
-    (len(ts), 8) for the parameter values c.  A caller that holds the flow
-    ``aux_exact_flow(a0, omega, ts)`` already passes it as ``aux``."""
+    """Closed-form mu along the smooth aux flow from the seed a0, shape (len(ts), 8), for
+    parameters c and omega checked as ``SolutionParams`` and ``lax_generator`` check them.
+    A caller that holds the flow ``aux_exact_flow(a0, omega, ts)`` passes it as ``aux``."""
+    c = _flat8(c, "solution parameters")
+    _check_omega(omega)
     return _mu_components(aux_exact_flow(a0, omega, ts) if aux is None else aux, c)
 
 
-def grid_lax_residual(mu: np.ndarray, dt: float, omega: float) -> np.ndarray:
-    """Per-sample || d(mu)/dt - [M, mu] || of a sampled trajectory mu, shape
-    (samples, 8), with on-grid differences and [M, mu] as ``lax_generator``.
+def _propagator(omega: float, h: float) -> np.ndarray:
+    """exp(hA), A = ``lax_generator(omega)``: A is M = (omega/2) J acting on each
+    of mu's three slots, so exp(hA) = R x R x R, R the rotation by omega h / 2."""
+    _check_omega(omega)
+    if not math.isfinite(h):
+        raise ValueError(f"h must be finite, got {h}")
+    # an overflowing phase gives NaN rows, which callers report
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.cos(0.5 * omega * h) * np.eye(2) + np.sin(0.5 * omega * h) * _ROTATION
+    return np.kron(np.kron(r, r), r)
 
-    Second-order central differences inside, second-order one-sided at the
-    endpoints, so the result scales as dt^2 for smooth trajectories.  Needs
-    mu shaped (samples, 8) with at least 3 samples and a positive, finite
-    dt (ValueError otherwise).
-    """
-    mu = np.asarray(mu)
+
+def step_defect(mu: np.ndarray, omega: float, h: float) -> np.ndarray:
+    """Per-sample || mu[k] - exp(hA) mu[k-1] || of mu, shaped (samples, 8) and sampled
+    every h, with row 0 = 0.0: rounding on an exact trajectory, the local truncation
+    error on an RK4 run.  Needs a positive omega and a finite h (ValueError otherwise)."""
+    mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[1] != 8:
-        raise ValueError(f"grid_lax_residual needs mu shaped (samples, 8), got {mu.shape}")
-    if mu.shape[0] < 3:
-        raise ValueError(f"grid_lax_residual needs at least 3 samples, got {mu.shape[0]}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    # d(mu)/dt and then the residual in one array, whose rows the norm
-    # squares into the freed bracket
-    res = np.empty(mu.shape)
-    np.subtract(mu[2:], mu[:-2], out=res[1:-1])
-    np.divide(res[1:-1], 2.0 * dt, out=res[1:-1])
-    res[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
-    res[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
-    bracket = mu @ lax_generator(omega).T
-    np.subtract(res, bracket, out=res)
-    return _norm(res, axis=1, out=bracket)
+        raise ValueError(f"step_defect needs mu shaped (samples, 8), got {mu.shape}")
+    res = np.zeros(mu.shape)
+    np.matmul(mu[:-1], _propagator(omega, h).T, out=res[1:])
+    np.subtract(mu[1:], res[1:], out=res[1:])
+    return _norm(res, axis=1)
 
 
 def _require_finite(stage: str, values: np.ndarray, ts: np.ndarray) -> None:

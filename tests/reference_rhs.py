@@ -9,6 +9,8 @@ that the tests can compare the generators against them.
 * ``aux_rhs``       - the rotation laws of (A+, A-, D+, D-);
 * ``g_values``      - their residuals a_dot - R a for any (values, rates)
   pair, with R = ``aux_generator(omega)``;
+* ``misrotated_flow`` - an aux flow that breaks the (D+, D-) law, for the
+  mutant checks;
 * ``_explicit_rhs`` and ``lax_rhs_explicit`` - the eight expanded ODEs of
   the operadic Lax equation d(mu)/dt = [M, mu] in dim 2;
 * ``lax_rhs_bracket`` - [M, mu] through the abstract Gerstenhaber bracket;
@@ -59,6 +61,17 @@ def g_values(aux: AuxValues, aux_dot: AuxValues, omega: float) -> AuxValues:
     return AuxValues(
         *np.subtract(astuple(aux_dot), aux_generator(omega) @ astuple(aux))
     )
+
+
+def misrotated_flow(d_rate: float):
+    """``aux_exact_flow`` with (D+, D-) turning at d_rate * omega / 2 in
+    place of 3 omega / 2: a wrong solution, to stand in for the flow."""
+    def flow(a0: AuxValues, omega: float, t) -> AuxValues:
+        x, y = 0.5 * omega * t, 0.5 * d_rate * omega * t
+        c1, s1, c3, s3 = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
+        return AuxValues(a0.a_plus * c1 - a0.a_minus * s1, a0.a_minus * c1 + a0.a_plus * s1,
+                         a0.d_plus * c3 - a0.d_minus * s3, a0.d_minus * c3 + a0.d_plus * s3)
+    return flow
 
 
 def lax_rhs_bracket(mu: Operation, m: Operation) -> Operation:

@@ -30,13 +30,14 @@ EARLIER_NAMES = (
 # right-hand sides, which the generators replace (the tests keep those in
 # tests/reference_rhs.py), then the finite-difference checkers, whose
 # statements the tests prove exactly (tests/exact_algebra.py), then
-# g_values, which only the tests call (tests/reference_rhs.py)
+# g_values, which only the tests call (tests/reference_rhs.py), then the
+# last finite difference, grid_lax_residual, which step_defect replaces
 REMOVED_NAMES = (
     "make_operation", "closed_form_mu_dot", "RotationResiduals", "rk4_integrate",
     "reduced_lax_residuals",
     "hamilton_rhs", "aux_rhs", "lax_rhs_bracket", "lax_rhs_explicit",
     "classical_lax_residual", "g_residuals", "g_residuals_along", "pde_residual",
-    "BranchLocusError", "g_values",
+    "BranchLocusError", "g_values", "grid_lax_residual",
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -24,7 +24,7 @@ from operadlax import (
     energy,
     exact_flow,
     exact_path,
-    grid_lax_residual,
+    step_defect,
 )
 
 HEADER = (
@@ -174,8 +174,19 @@ def test_simulate_rk4_residual_column_shrinks_with_dt(capsys):
         cols, data = parse_csv(out)
         return data[:, cols.index("lax_residual")].max()
 
+    # the defect against the exact flow is RK4's local truncation, O(h^5):
+    # halving the step divides it by 32
     ratio = max_resid(200) / max_resid(400)
-    assert 3.0 < ratio < 5.0
+    assert 24.0 < ratio < 40.0
+
+
+def test_simulate_rk4_residual_column_is_the_step_defect():
+    # test_simulate_columns_come_from_the_library pins the exact integrator's
+    cfg = cli.RunConfig(omega=1.3, q0=0.4, p0=-1.1, t_end=5.0, steps=50, seed=3)
+    columns = cli._simulate_samples(cfg, "rk4")
+    mu = np.stack(columns[8:16], axis=1)
+    np.testing.assert_array_equal(columns[16], step_defect(mu, 1.3, 0.1))
+    assert columns[16][0] == 0.0
 
 
 def test_simulate_deterministic_file_output(tmp_path, capsys):
@@ -210,7 +221,7 @@ def test_simulate_columns_come_from_the_library():
     q, p = exact_path(s0, ts)
     aux = astuple(aux_exact_flow(a0, 1.3, ts))
     mu = closed_form_path(a0, 1.3, ts, cfg.resolved_c())
-    want = [ts, q, p, energy(q, p, 1.3), *aux, *mu.T, grid_lax_residual(mu, 0.1, 1.3)]
+    want = [ts, q, p, energy(q, p, 1.3), *aux, *mu.T, step_defect(mu, 1.3, 0.1)]
     got = cli._simulate_samples(cfg, "exact")
     assert len(got) == len(want) == len(HEADER.split(","))
     for column, expected in zip(got, want):

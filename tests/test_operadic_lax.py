@@ -26,13 +26,13 @@ from operadlax import (
     closed_form_mu,
     closed_form_path,
     energy,
-    grid_lax_residual,
     hamilton_generator,
     lax_generator,
     lax_rhs_index,
     m_matrix,
     operadic_lax,
     rk4_linear_path,
+    step_defect,
     verify_lax_representation,
 )
 from exact_algebra import A2, R2, fraction_matmul, fraction_rank, k_columns
@@ -44,9 +44,11 @@ from reference_rhs import (
     lax_generator_reference,
     lax_rhs_bracket,
     lax_rhs_explicit,
+    misrotated_flow,
 )
 
 CANONICAL = OscState(0.0, 2.0, 1.0)
+EPS = np.finfo(float).eps
 
 
 def named(values):
@@ -272,6 +274,16 @@ def test_closed_form_matches_reference_across_scales():
         np.testing.assert_array_equal(closed_form_path(a0, omega, ts, c, aux=aux), path)
 
 
+@pytest.mark.parametrize("c, omega, message", [
+    ([1.0] * 7, 1.0, "solution parameters needs 8 entries, got 7"),
+    ([math.nan] * 8, 1.0, "non-finite entry in solution parameters"),
+    ([1.0] * 8, -1.0, "omega must be positive and finite, got -1.0"),
+], ids=["seven-entries", "nan-entries", "negative-omega"])
+def test_closed_form_path_checks_its_input(c, omega, message):
+    with pytest.raises(ValueError, match=message):
+        closed_form_path(aux_algebraic(CANONICAL), omega, np.linspace(0.0, 1.0, 5), c)
+
+
 def test_closed_form_exact_on_small_integers():
     rng = np.random.default_rng(31)
     for _ in range(200):
@@ -415,13 +427,7 @@ def test_verify_lax_check_cannot_see_a_wrong_rotation_law(monkeypatch):
     with A K(C) a on the same samples, so it checks A K(C) = K(C) R, not
     the time dependence of a, and stays at rounding.
     """
-    def wrong_flow(a0, omega, t):
-        x, y = 0.5 * omega * t, 1.0001 * 1.5 * omega * t
-        c1, s1, c3, s3 = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
-        return AuxValues(a0.a_plus * c1 - a0.a_minus * s1, a0.a_minus * c1 + a0.a_plus * s1,
-                         a0.d_plus * c3 - a0.d_minus * s3, a0.d_minus * c3 + a0.d_plus * s3)
-
-    monkeypatch.setattr(operadic_lax, "aux_exact_flow", wrong_flow)
+    monkeypatch.setattr(operadic_lax, "aux_exact_flow", misrotated_flow(1.0001 * 3.0))
     params = SolutionParams(np.random.default_rng(17).uniform(-1, 1, 8))
     rep = verify_lax_representation(params, CANONICAL, 2 * math.pi, 10**4, 1e-7)
     checks = {c.name: c for c in rep.checks}
@@ -445,61 +451,71 @@ def test_verify_lax_residual_needs_no_step(s0, periods):
     assert lax.max_residual <= 1e-7 and lax.passed
 
 
-def grid_lax_residual_reference(mu, dt, omega):
-    """The residual as a fresh array per step: the stencil, then d(mu)/dt - [M, mu]."""
-    dmu = np.empty_like(mu)
-    dmu[1:-1] = (mu[2:] - mu[:-2]) / (2.0 * dt)
-    dmu[0] = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * dt)
-    dmu[-1] = (3.0 * mu[-1] - 4.0 * mu[-2] + mu[-3]) / (2.0 * dt)
-    return operadic_lax._norm(dmu - mu @ lax_generator(omega).T, axis=1)
-
-
-@pytest.mark.parametrize("rows", [3, 4, 7, 1001, 10001])
-def test_grid_lax_residual_keeps_the_reference_bits(rows):
-    rng = np.random.default_rng(rows)
-    for _ in range(3):
-        dt, omega = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-1, 1)
-        mu = rng.standard_normal((rows, 8)) * 10.0 ** rng.uniform(-3, 3, 8)
-        # C and Fortran order, and entries whose squares overflow
-        for sample in (mu, np.asfortranarray(mu), 2.0**600 * mu):
-            got = grid_lax_residual(sample, dt, omega)
-            assert got.tobytes() == grid_lax_residual_reference(sample, dt, omega).tobytes()
-
-
-@pytest.mark.parametrize("rows", [0, 1, 2])
-def test_grid_lax_residual_needs_three_samples(rows):
-    with pytest.raises(ValueError, match="at least 3 samples"):
-        grid_lax_residual(np.ones((rows, 8)), 0.1, 1.3)
-
-
 @pytest.mark.parametrize("mu", [np.ones((5, 4)), np.ones((5, 8, 1)), np.ones(8), [1.0, 2.0, 3.0]])
-def test_grid_lax_residual_needs_rows_of_eight(mu):
+def test_step_defect_needs_rows_of_eight(mu):
     with pytest.raises(ValueError, match=r"needs mu shaped \(samples, 8\), got \("):
-        grid_lax_residual(mu, 0.1, 1.3)
+        step_defect(mu, 1.3, 0.1)
 
 
-def test_grid_lax_residual_takes_a_list_of_rows():
+def test_step_defect_takes_a_list_of_rows():
     mu = np.random.default_rng(8).standard_normal((5, 8))
-    assert (grid_lax_residual(mu.tolist(), 0.1, 1.3).tobytes()
-            == grid_lax_residual(mu, 0.1, 1.3).tobytes())
+    assert step_defect(mu.tolist(), 1.3, 0.1).tobytes() == step_defect(mu, 1.3, 0.1).tobytes()
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf, -math.inf])
-def test_grid_lax_residual_needs_a_positive_step(dt):
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_step_defect_needs_a_finite_step(h):
     # refused before any arithmetic: no RuntimeWarning and no NaN rows
-    with pytest.raises(ValueError, match="dt must be positive"):
-        grid_lax_residual(np.ones((5, 8)), dt, 1.3)
+    with pytest.raises(ValueError, match="h must be finite"):
+        step_defect(np.ones((5, 8)), 1.3, h)
 
 
-def test_grid_lax_residual_scales_past_overflowing_squares():
+@pytest.mark.parametrize("omega", [0.0, -1.0])
+def test_step_defect_needs_a_positive_omega(omega):
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        step_defect(np.ones((5, 8)), omega, 0.1)
+
+
+def test_step_defect_scales_past_overflowing_squares():
     # 2**600 scales every entry exactly; the squares in the norm (past 2**1200)
     # overflow, so the rows are recomputed from their scaled entries
     mu = np.random.default_rng(9).standard_normal((50, 8))
-    want = 2.0**600 * grid_lax_residual(mu, 0.01, 1.3)
+    want = 2.0**600 * step_defect(mu, 1.3, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = grid_lax_residual(2.0**600 * mu, 0.01, 1.3)
+        got = step_defect(2.0**600 * mu, 1.3, 0.01)
     np.testing.assert_allclose(got, want, rtol=1e-15)
+
+
+def test_propagator_is_the_exponential_of_the_lax_generator():
+    linalg = pytest.importorskip("scipy.linalg")
+    for omega, h in [(1.0, 0.01), (1.3, 0.1), (20.0, 0.05), (0.7, 2.0), (3.0, -0.4)]:
+        want = linalg.expm(h * lax_generator(omega))
+        assert np.abs(operadic_lax._propagator(omega, h) - want).max() <= 8 * EPS
+
+
+def test_propagator_is_a_one_parameter_group_of_rotations():
+    propagator = operadic_lax._propagator
+    np.testing.assert_array_equal(propagator(1.3, 0.0), np.eye(8))
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        omega, (h1, h2) = 10 ** rng.uniform(-1, 1), rng.uniform(-3, 3, 2)
+        e1, e2 = propagator(omega, h1), propagator(omega, h2)
+        # the phases omega h / 2 are rounded apart and together
+        bound = 8 * EPS * (1.0 + omega * (abs(h1) + abs(h2)))
+        assert np.abs(e1 @ e2 - propagator(omega, h1 + h2)).max() <= bound
+        assert np.abs(e1 @ e1.T - np.eye(8)).max() <= 8 * EPS
+
+
+def test_propagator_powers_follow_the_closed_form():
+    # E(h)^n mu0 is mu at t = n h: the propagator carries the family's flow
+    s0, h, n = OscState(0.4, -1.1, 1.3), 0.01, 1000
+    c = np.random.default_rng(28).uniform(-1, 1, 8)
+    mu = closed_form_path(aux_algebraic(s0), s0.omega, h * np.arange(n + 1), c)
+    e = operadic_lax._propagator(s0.omega, h)
+    rows = [mu[0]]
+    for _ in range(n):
+        rows.append(e @ rows[-1])
+    assert np.abs(np.array(rows) - mu).max() <= 8 * EPS * n * np.abs(mu).max()
 
 
 def test_verify_zero_params_mu_checks_exact():
@@ -691,7 +707,7 @@ def test_verify_leaves_held_arrays_alone():
     omega = s0.omega
     ts, mu_rk4 = rk4_linear_path(lax_generator(omega), [1, 0, 0, 0, 0, 0, 0, 1], t_end, steps)
     mu_cf = closed_form_path(aux_algebraic(s0), omega, ts, params.values)
-    residual = grid_lax_residual(mu_cf, t_end / steps, omega)
+    residual = step_defect(mu_cf, omega, t_end / steps)
     held = [ts, mu_rk4, mu_cf, residual]
     copies = [a.copy() for a in held]
     for n in (steps, 5000, 10):

@@ -67,8 +67,9 @@ EDGE_CONFIGS = [
     {"omega": 0.7, "q0": -0.0, "p0": 0.0, "t_end": 9.0, "steps": 50,
      "c": [1.0, -0.5, 0.25, -1.0, 0.0, 0.75, -0.25, 0.5]},
     # amplitude sqrt(2H) about 1e150 and 1e-150: three-digit exponents.  At
-    # 1e150, c7 = c8 = 0 keep D+ and D- (about 1e225) out of mu, whose square
-    # in lax_residual would overflow and end the run before any output.
+    # 1e150, c7 = c8 = 0 keep D+ and D- (about 1e225) out of mu.  With them
+    # in, the run writes a finite table too: the lax_residual norm rescales
+    # squares that overflow.
     {"omega": 2.0, "q0": 3e149, "p0": -8e149, "t_end": 5.0, "steps": 400,
      "c": [0.3, -0.9, 0.6, 0.1, -0.4, 0.8, 0.0, 0.0]},
     {"omega": 0.5, "q0": 1e-150, "p0": 2e-150, "t_end": 30.0, "steps": 400, "seed": 13},

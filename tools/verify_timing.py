@@ -8,9 +8,9 @@ One ``verify`` request samples [0, t_end] at steps + 1 times and runs:
   the aux rates R a (R = ``aux_generator``), precomputed here;
 * ``rk4_mu``       - the RK4 run of mu under the Lax generator;
 * ``rk4_qp``       - the RK4 run of (q, p) under Hamilton's generator;
-* ``norms``        - ``grid_lax_residual`` of the sampled mu: one row norm
-  of an (N, 8) array, with the matrix product and difference beside it,
-  the same work as the Lax residual and norm drift checks;
+* ``norms``        - ``step_defect`` of the sampled mu: one row norm of an
+  (N, 8) array, with the matrix product and difference beside it, the
+  same work as the Lax residual and norm drift checks;
 * ``total``        - the whole ``verify_lax_representation`` call;
 * ``setup``        - a 2-step ``verify_lax_representation`` call (printed
   once, at 2 steps): the cost of a request that does not grow with N.
@@ -26,7 +26,8 @@ page faults per warm ``verify_lax_representation`` call (``getrusage`` over
 them (``n/a`` on trees that have none).  The oscillator is the middle of
 the benchmark's draw: omega 1.7, five periods, amplitude about 1.  Apart
 from that last line it uses public names only, so it also runs on older
-trees and shows where the time goes before and after a change:
+trees that have ``step_defect`` and shows where the time goes before and
+after a change:
 
     PYTHONPATH=src python tools/verify_timing.py [--repeat N]
 """
@@ -54,11 +55,11 @@ from operadlax import (
     aux_generator,
     cli,
     closed_form_path,
-    grid_lax_residual,
     hamilton_generator,
     lax_generator,
     operadic_lax,
     rk4_linear_path,
+    step_defect,
     verify_lax_representation,
 )
 
@@ -96,7 +97,7 @@ def stages(steps: int):
         "rk4_mu": lambda: rk4_linear_path(lax_generator(omega), mu[0], t_end, steps),
         "rk4_qp": lambda: rk4_linear_path(hamilton_generator(omega), [s0.q, s0.p],
                                           t_end, steps),
-        "norms": lambda: grid_lax_residual(mu, t_end / steps, omega),
+        "norms": lambda: step_defect(mu, omega, t_end / steps),
         "total": lambda: verify_lax_representation(params, s0, t_end, steps, 1e-7),
     }
 
