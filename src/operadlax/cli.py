@@ -188,14 +188,12 @@ def _parse_c(text: str) -> list[float]:
 # ---------------------------------------------------------------- axioms --
 
 
-def _random_operations(rng, dim_max: int, deg_max: int, size=None) -> list[Operation]:
-    """Random operations on one random R^d: ``size`` of them, or one drawn
-    with a scalar degree when size is None, as the seeded stream has always
-    drawn them.  All their coefficients come from one normal draw, cut in
-    order, which takes the same numbers as one draw per operation."""
+def _random_operations(rng, dim_max: int, deg_max: int, size: int) -> list[Operation]:
+    """``size`` random operations on one random R^d.  All their coefficients
+    come from one normal draw, cut in order, which takes the same numbers as
+    one draw per operation."""
     d = int(rng.integers(1, dim_max + 1))
     degs = rng.integers(1, deg_max + 1, size=size).tolist()
-    degs = [degs] if size is None else degs
     flat = rng.standard_normal(sum(d ** (n + 1) for n in degs))
     ops, start = [], 0
     for n in degs:
@@ -222,7 +220,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         suites["composition_relations"] = max(suites["composition_relations"], max(grid) / scale)
         suites["jacobi"] = max(suites["jacobi"], jacobi_residual(f, g, h) / scale)
 
-        (u,) = _random_operations(rng, args.dim_max, args.deg_max)
+        (u,) = _random_operations(rng, args.dim_max, args.deg_max, 1)
         suites["unit"] = max(suites["unit"], unit_residual(u) / (1.0 + frobenius_norm(u)))
 
         # a third operation is drawn, and unused, to keep the seeded stream
@@ -255,7 +253,7 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
         q, p = exact_path(s0, ts)
         flow = aux_exact_flow(a0, omega, ts)
         aux = astuple(flow)
-        mu = closed_form_path(a0, omega, ts, params.values, aux=flow)
+        mu = closed_form_path(flow, params.values)
     else:
         def rk4(generator, y0):
             return rk4_linear_path(generator, y0, cfg.t_end, cfg.steps)[1]

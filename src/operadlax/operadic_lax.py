@@ -22,7 +22,8 @@ routes is a test target, not an assumption.
 
 The general solution is an 8-parameter family mu = K(C) a, linear in the
 parameters C1..C8 and in the oscillator's auxiliary functions
-a = (A+, A-, D+, D-) (``closed_form_mu``).  With rows in the component
+a = (A+, A-, D+, D-) (``closed_form_path(aux, c)`` on the aux values it is
+given, ``closed_form_mu`` its scalar wrapper).  With rows in the component
 order below and columns (A+, A-, D+, D-),
 
     K(C) = [[ C6,               C5,            C8,   C7],
@@ -252,12 +253,6 @@ def _times_k(rows: np.ndarray, k: np.ndarray, scale: float, out=None) -> np.ndar
     return mu
 
 
-def _mu_components(aux: AuxValues, c: np.ndarray) -> np.ndarray:
-    """The eight closed-form components K(C) a, shape (..., 8) for aux
-    fields of shape (...): one product of the stacked aux with K(C)^T."""
-    return _times_k(_aux_rows(aux), *_k_matrix(c))
-
-
 def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants2:
     """Structure constants of the closed-form solution family, K(C) a.
 
@@ -267,18 +262,15 @@ def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants
     the closed form's Lax-equation residuals K(C) G, for any (aux, aux_dot)
     at all (see the module docstring).
     """
-    return StructureConstants2(_mu_components(aux, params.values))
+    return StructureConstants2(closed_form_path(aux, params.values))
 
 
-def closed_form_path(
-    a0: AuxValues, omega: float, ts, c, aux: AuxValues | None = None
-) -> np.ndarray:
-    """Closed-form mu along the smooth aux flow from the seed a0, shape (len(ts), 8), for
-    parameters c and omega checked as ``SolutionParams`` and ``lax_generator`` check them.
-    A caller that holds the flow ``aux_exact_flow(a0, omega, ts)`` passes it as ``aux``."""
-    c = _flat8(c, "solution parameters")
-    _check_omega(omega)
-    return _mu_components(aux_exact_flow(a0, omega, ts) if aux is None else aux, c)
+def closed_form_path(aux: AuxValues, c) -> np.ndarray:
+    """The closed form K(C) a on the aux values given, shape (..., 8) for aux
+    fields of shape (...) (a trajectory: ``aux_exact_flow(a0, omega, ts)``),
+    with c checked as ``SolutionParams`` checks it: one product of the
+    stacked aux with K(C)^T."""
+    return _times_k(_aux_rows(aux), *_k_matrix(_flat8(c, "solution parameters")))
 
 
 def _propagator(omega: float, h: float) -> np.ndarray:
@@ -312,35 +304,8 @@ def _require_finite(stage: str, values: np.ndarray, ts: np.ndarray) -> None:
         raise IntegrationError(f"{stage}: non-finite value at sample {k} (t = {ts[k]:.6g})")
 
 
-def _checked(reduce, scan) -> float:
-    """``reduce()``, a float that is non-finite whenever one of the rows it
-    reduces is, so ``scan()`` (which raises at the first non-finite row)
-    runs only then.  A reduction that overflows over finite rows is
-    returned as it is, without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = reduce()
-    if not math.isfinite(value):
-        scan()
-    return value
-
-
 def _max_gap(a, b, out) -> float:
     return float(np.max(np.abs(np.subtract(a, b, out=out), out=out)))
-
-
-def _max_norm(values: np.ndarray, squares: np.ndarray) -> float:
-    return float(np.max(_norm(values, axis=1, out=squares)))
-
-
-def _norm_drift(mu: np.ndarray, squares: np.ndarray) -> float:
-    norms = _norm(mu, axis=1, out=squares)
-    # past an infinite first norm the gaps are inf - inf; that drift is infinite
-    return _max_gap(norms, norms[0], norms) if math.isfinite(norms[0]) else math.inf
-
-
-def _energy_drift(qp: np.ndarray, omega: float) -> float:
-    energies = energy(qp[:, 0], qp[:, 1], omega)
-    return _max_gap(energies, energies[0], energies)
 
 
 # verify's request-sized blocks, kept per thread between calls
@@ -404,9 +369,9 @@ def verify_lax_representation(
     A step t_end / steps that underflows to 0 raises ``ValueError``.
     Each check passes iff its max residual is <= tol.  A non-finite closed
     form raises ``IntegrationError`` before the RK4 run it would seed, and
-    so do a non-finite RK4 state and a non-finite d(mu)/dt - [M, mu].  The
-    rows behind a check are scanned for non-finite values only when the
-    check's reduction over them is non-finite; a reduction that overflows
+    so do a non-finite RK4 state and a non-finite d(mu)/dt - [M, mu].  Each
+    check is its reduction followed by a scan of the rows behind it, which
+    runs only when the reduction is non-finite; a reduction that overflows
     over finite rows is reported as it is (``Infinity`` in the CLI).
     """
     if steps < 2:
@@ -424,30 +389,35 @@ def verify_lax_representation(
     # and its gap, then [M, mu] and the squares of d(mu)/dt - [M, mu]
     stack, mu_cf, buf, qp = _verify_blocks(steps + 1)
 
-    rows = _aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts), out=stack)
-    k, scale = _k_matrix(params.values)
-    _times_k(rows, k, scale, out=mu_cf)
-    norm_drift = _checked(lambda: _norm_drift(mu_cf, buf),
-                          lambda: _require_finite("closed_form", mu_cf, ts))
-
-    def rk4_mu(out=None):
-        return _rk4_linear_rows(generator, mu_cf[0], t_end, steps, out)
-
-    # the gap is taken in the run's rows, so its scan runs the RK4 again
-    gap = _checked(lambda: _max_gap(rk4_mu(buf), mu_cf, buf),
-                   lambda: _check_states("closed_form_vs_rk4: ", rk4_mu(), ts))
-
     with np.errstate(over="ignore", invalid="ignore"):
+        rows = _aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts), out=stack)
+        k, scale = _k_matrix(params.values)
+        _times_k(rows, k, scale, out=mu_cf)
+        norms = _norm(mu_cf, axis=1, out=buf)
+        # past an infinite first norm the gaps are inf - inf; that drift is infinite
+        norm_drift = _max_gap(norms, norms[0], norms) if math.isfinite(norms[0]) else math.inf
+        if not math.isfinite(norm_drift):
+            _require_finite("closed_form", mu_cf, ts)
+
+        # the gap is taken in the run's rows, so its scan runs the RK4 again
+        gap = _max_gap(_rk4_linear_rows(generator, mu_cf[0], t_end, steps, buf), mu_cf, buf)
+        if not math.isfinite(gap):
+            mu_rk4 = _rk4_linear_rows(generator, mu_cf[0], t_end, steps)
+            _check_states("closed_form_vs_rk4: ", mu_rk4, ts)
+
         bracket = np.matmul(mu_cf, generator.T, out=buf)
         # exactly d(mu)/dt, in mu_cf's place
         dmu = _times_k(rows, k @ aux_generator(omega), scale, out=mu_cf)
         dmu -= bracket
-    lax_res = _checked(lambda: _max_norm(dmu, buf),
-                       lambda: _require_finite("lax_equation_residual", dmu, ts))
+        lax_res = float(np.max(_norm(dmu, axis=1, out=buf)))
+        if not math.isfinite(lax_res):
+            _require_finite("lax_equation_residual", dmu, ts)
 
-    _rk4_linear_rows(hamilton_generator(omega), [s0.q, s0.p], t_end, steps, qp)
-    h_drift = _checked(lambda: _energy_drift(qp, omega),
-                       lambda: _check_states("hamiltonian_drift: ", qp, ts))
+        _rk4_linear_rows(hamilton_generator(omega), [s0.q, s0.p], t_end, steps, qp)
+        energies = energy(qp[:, 0], qp[:, 1], omega)
+        h_drift = _max_gap(energies, energies[0], energies)
+        if not math.isfinite(h_drift):
+            _check_states("hamiltonian_drift: ", qp, ts)
 
     checks = tuple(
         CheckResult(name, value, tol, value <= tol)

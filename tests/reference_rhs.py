@@ -11,6 +11,8 @@ that the tests can compare the generators against them.
   pair, with R = ``aux_generator(omega)``;
 * ``misrotated_flow`` - an aux flow that breaks the (D+, D-) law, for the
   mutant checks;
+* ``max_step_defect_ratio`` - ``step_defect`` of the closed form on an aux
+  flow over the rounding bound the true flow keeps (constant ``KAPPA``);
 * ``_explicit_rhs`` and ``lax_rhs_explicit`` - the eight expanded ODEs of
   the operadic Lax equation d(mu)/dt = [M, mu] in dim 2;
 * ``lax_rhs_bracket`` - [M, mu] through the abstract Gerstenhaber bracket;
@@ -34,10 +36,14 @@ from operadlax import (
     Operation,
     OscState,
     StructureConstants2,
+    aux_algebraic,
+    aux_exact_flow,
     aux_generator,
     bracket,
+    closed_form_path,
     lax_rhs_index,
     m_matrix,
+    step_defect,
 )
 from operadlax.oscillator import _check_omega
 
@@ -72,6 +78,22 @@ def misrotated_flow(d_rate: float):
         return AuxValues(a0.a_plus * c1 - a0.a_minus * s1, a0.a_minus * c1 + a0.a_plus * s1,
                          a0.d_plus * c3 - a0.d_minus * s3, a0.d_minus * c3 + a0.d_plus * s3)
     return flow
+
+
+# the constant of the step-defect bound, fixed from the sweep in
+# tests/test_properties.py and not from any probe: run on 5.5e4 drawn
+# examples, its worst ratio was 10.8
+KAPPA = 32.0
+
+
+def max_step_defect_ratio(s0: OscState, c, t_end: float, steps: int, flow=aux_exact_flow):
+    """max step_defect of the closed form on ``flow`` (the true aux flow by
+    default) over kappa eps (1 + omega t_end) max|mu|."""
+    ts = np.linspace(0.0, t_end, steps + 1)
+    mu = closed_form_path(flow(aux_algebraic(s0), s0.omega, ts), c)
+    bound = KAPPA * np.finfo(float).eps * (1.0 + s0.omega * t_end) * np.abs(mu).max()
+    defect = step_defect(mu, s0.omega, t_end / steps).max()
+    return defect / bound if bound else defect
 
 
 def lax_rhs_bracket(mu: Operation, m: Operation) -> Operation:

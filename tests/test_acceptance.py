@@ -188,7 +188,7 @@ def test_criterion_6_conservation_suite():
     # Frobenius norm of the closed-form trajectory is constant
     params = SolutionParams(rng.uniform(-1, 1, 8))
     ts = np.linspace(0.0, TWO_PI, 2001)
-    mu = closed_form_path(aux_algebraic(CANONICAL), 1.0, ts, params.values)
+    mu = closed_form_path(aux_exact_flow(aux_algebraic(CANONICAL), 1.0, ts), params.values)
     norms = np.linalg.norm(mu, axis=1)
     ok = ok and np.abs(norms - norms[0]).max() <= 1e-8
     report(6, "conservation suite", ok)

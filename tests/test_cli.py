@@ -89,7 +89,8 @@ def test_axioms_fails_with_impossible_tol(capsys):
 
 
 def random_operations_reference(rng, dim_max, deg_max, size=None):
-    """The draw before it was grouped: one normal call per operation."""
+    """The draw before it was grouped: one normal call per operation, and a
+    scalar degree draw when size is None."""
     d = int(rng.integers(1, dim_max + 1))
     degs = np.atleast_1d(rng.integers(1, deg_max + 1, size=size))
     return [operadlax.Operation(d, int(n), rng.standard_normal((d,) * (int(n) + 1)))
@@ -99,15 +100,16 @@ def random_operations_reference(rng, dim_max, deg_max, size=None):
 @pytest.mark.parametrize("dim_max", [1, 2, 3])
 @pytest.mark.parametrize("deg_max", [1, 2, 3])
 def test_grouped_draw_takes_the_same_numbers(dim_max, deg_max):
-    # one trial's draws, twice over: a triple, a scalar draw, and a triple of
-    # which two are kept; the stream must stand where it stood before
-    calls = [(3, None), (None, None), (3, 2)] * 2
+    # one trial's draws, twice over: a triple, a single operation (drawn
+    # with size 1, once with a scalar degree), and a triple of which two
+    # are kept; the stream must stand where it stood before
+    calls = [(3, 3, None), (1, None, None), (3, 3, 2)] * 2
     for seed in range(100):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for size, kept in calls:
+        for size, want_size, kept in calls:
             got = cli._random_operations(got_rng, dim_max, deg_max, size)[:kept]
-            want = random_operations_reference(want_rng, dim_max, deg_max, size)[:kept]
-            assert len(got) == len(want) == (kept or size or 1)
+            want = random_operations_reference(want_rng, dim_max, deg_max, want_size)[:kept]
+            assert len(got) == len(want) == (kept or size)
             for op, ref in zip(got, want):
                 assert (op.dim, op.degree) == (ref.dim, ref.degree)
                 assert op.coeffs.shape == ref.coeffs.shape
@@ -219,8 +221,9 @@ def test_simulate_columns_come_from_the_library():
     a0 = aux_algebraic(s0)
     ts = np.linspace(0.0, 5.0, 51)
     q, p = exact_path(s0, ts)
-    aux = astuple(aux_exact_flow(a0, 1.3, ts))
-    mu = closed_form_path(a0, 1.3, ts, cfg.resolved_c())
+    flow = aux_exact_flow(a0, 1.3, ts)
+    aux = astuple(flow)
+    mu = closed_form_path(flow, cfg.resolved_c())
     want = [ts, q, p, energy(q, p, 1.3), *aux, *mu.T, step_defect(mu, 1.3, 0.1)]
     got = cli._simulate_samples(cfg, "exact")
     assert len(got) == len(want) == len(HEADER.split(","))

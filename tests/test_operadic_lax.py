@@ -268,20 +268,19 @@ def test_closed_form_matches_reference_across_scales():
         assert np.all(np.abs(got - closed_form_reference(a0, c)) <= closed_form_bound(a0, c))
         omega = float(10.0 ** rng.uniform(-1, 1))
         aux = aux_exact_flow(a0, omega, ts)
-        path = closed_form_path(a0, omega, ts, c)
+        path = closed_form_path(aux, c)
         assert path.shape == (len(ts), 8)
         assert np.all(np.abs(path - closed_form_reference(aux, c)) <= closed_form_bound(aux, c))
-        np.testing.assert_array_equal(closed_form_path(a0, omega, ts, c, aux=aux), path)
 
 
-@pytest.mark.parametrize("c, omega, message", [
-    ([1.0] * 7, 1.0, "solution parameters needs 8 entries, got 7"),
-    ([math.nan] * 8, 1.0, "non-finite entry in solution parameters"),
-    ([1.0] * 8, -1.0, "omega must be positive and finite, got -1.0"),
-], ids=["seven-entries", "nan-entries", "negative-omega"])
-def test_closed_form_path_checks_its_input(c, omega, message):
+@pytest.mark.parametrize("c, message", [
+    ([1.0] * 7, "solution parameters needs 8 entries, got 7"),
+    ([math.nan] * 8, "non-finite entry in solution parameters"),
+], ids=["seven-entries", "nan-entries"])
+def test_closed_form_path_checks_its_input(c, message):
+    aux = aux_exact_flow(aux_algebraic(CANONICAL), 1.0, np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError, match=message):
-        closed_form_path(aux_algebraic(CANONICAL), omega, np.linspace(0.0, 1.0, 5), c)
+        closed_form_path(aux, c)
 
 
 def test_closed_form_exact_on_small_integers():
@@ -293,9 +292,10 @@ def test_closed_form_exact_on_small_integers():
         np.testing.assert_array_equal(closed_form_mu(a0, SolutionParams(c)).values, want)
         aux = AuxValues(*rng.integers(-64, 65, (4, 30)).astype(float))
         np.testing.assert_array_equal(
-            closed_form_path(a0, 1.0, np.zeros(30), c, aux=aux), closed_form_reference(aux, c)
+            closed_form_path(aux, c), closed_form_reference(aux, c)
         )
-        np.testing.assert_array_equal(closed_form_path(a0, 1.0, np.zeros(1), c), want[None])
+        flow = aux_exact_flow(a0, 1.0, np.zeros(1))
+        np.testing.assert_array_equal(closed_form_path(flow, c), want[None])
 
 
 def test_closed_form_keeps_subnormal_parameters():
@@ -322,7 +322,7 @@ def test_closed_form_finite_where_the_sums_are():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = closed_form_mu(a0, SolutionParams(c)).values
-        path = closed_form_path(a0, 1.3, ts, c)
+        path = closed_form_path(aux, c)
     for value, a in ((got, a0), (path, aux)):
         want = closed_form_reference(a, c)
         assert np.isfinite(want).all() and np.isfinite(value).all()
@@ -510,7 +510,7 @@ def test_propagator_powers_follow_the_closed_form():
     # E(h)^n mu0 is mu at t = n h: the propagator carries the family's flow
     s0, h, n = OscState(0.4, -1.1, 1.3), 0.01, 1000
     c = np.random.default_rng(28).uniform(-1, 1, 8)
-    mu = closed_form_path(aux_algebraic(s0), s0.omega, h * np.arange(n + 1), c)
+    mu = closed_form_path(aux_exact_flow(aux_algebraic(s0), s0.omega, h * np.arange(n + 1)), c)
     e = operadic_lax._propagator(s0.omega, h)
     rows = [mu[0]]
     for _ in range(n):
@@ -706,7 +706,7 @@ def test_verify_leaves_held_arrays_alone():
     params, s0, t_end, steps, tol = oscillator_args(np.random.default_rng(5), 9261)
     omega = s0.omega
     ts, mu_rk4 = rk4_linear_path(lax_generator(omega), [1, 0, 0, 0, 0, 0, 0, 1], t_end, steps)
-    mu_cf = closed_form_path(aux_algebraic(s0), omega, ts, params.values)
+    mu_cf = closed_form_path(aux_exact_flow(aux_algebraic(s0), omega, ts), params.values)
     residual = step_defect(mu_cf, omega, t_end / steps)
     held = [ts, mu_rk4, mu_cf, residual]
     copies = [a.copy() for a in held]

@@ -30,7 +30,11 @@ dicts of arrays in ``operad``) once every shape has run, in all and by
 cache, and the time to build all of them again from empty plans.  It
 exits 1, naming each cache's bytes, if they hold more than 1 MiB; they
 hold 862848 bytes, 818784 of them in ``_PLACEMENTS``.
+
+BLAS/OpenMP threads are pinned to 1 before numpy loads (``pin_threads``).
 """
+
+import pin_threads  # noqa: F401  (first: numpy must not load before it)
 
 import argparse
 import contextlib

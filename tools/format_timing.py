@@ -18,7 +18,11 @@ sample table and formatter were split, or falls back as above, so it runs
 on older trees too:
 
     PYTHONPATH=src python tools/format_timing.py
+
+BLAS/OpenMP threads are pinned to 1 before numpy loads (``pin_threads``).
 """
+
+import pin_threads  # noqa: F401  (first: numpy must not load before it)
 
 import os
 import tempfile

@@ -26,11 +26,15 @@ page faults per warm ``verify_lax_representation`` call (``getrusage`` over
 them (``n/a`` on trees that have none).  The oscillator is the middle of
 the benchmark's draw: omega 1.7, five periods, amplitude about 1.  Apart
 from that last line it uses public names only, so it also runs on older
-trees that have ``step_defect`` and shows where the time goes before and
-after a change:
+trees that have ``step_defect`` and ``closed_form_path(aux, c)``, and
+shows where the time goes before and after a change:
 
     PYTHONPATH=src python tools/verify_timing.py [--repeat N]
+
+BLAS/OpenMP threads are pinned to 1 before numpy loads (``pin_threads``).
 """
+
+import pin_threads  # noqa: F401  (first: numpy must not load before it)
 
 import argparse
 import contextlib
@@ -89,11 +93,11 @@ def stages(steps: int):
     ts = np.linspace(0.0, t_end, steps + 1)
     a0 = aux_algebraic(s0)
     c = params.values
-    mu = closed_form_path(a0, omega, ts, c)
+    mu = closed_form_path(aux_exact_flow(a0, omega, ts), c)
     rates = AuxValues(*(aux_generator(omega) @ np.array(astuple(aux_exact_flow(a0, omega, ts)))))
     return {
-        "closed_form": lambda: closed_form_path(a0, omega, ts, c),
-        "derivative": lambda: closed_form_path(a0, omega, ts, c, aux=rates),
+        "closed_form": lambda: closed_form_path(aux_exact_flow(a0, omega, ts), c),
+        "derivative": lambda: closed_form_path(rates, c),
         "rk4_mu": lambda: rk4_linear_path(lax_generator(omega), mu[0], t_end, steps),
         "rk4_qp": lambda: rk4_linear_path(hamilton_generator(omega), [s0.q, s0.p],
                                           t_end, steps),
