@@ -324,7 +324,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = SolutionParams(cfg.resolved_c())
     s0 = OscState(cfg.q0, cfg.p0, cfg.omega)
     report = verify_lax_representation(params, s0, cfg.t_end, cfg.steps, cfg.tol, seed=cfg.seed)
-    print(json.dumps(report.to_dict(), indent=2))
+    sys.stdout.write(report.to_json())
     return 0 if report.all_passed() else 1
 
 

@@ -61,6 +61,7 @@ which is exactly the row-major layout of the (2, 2, 2) coefficient tensor.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 from dataclasses import dataclass
@@ -186,6 +187,45 @@ class VerificationReport:
             "config": dict(self.config),
         }
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte, from
+        one template of the report schema: finite floats (``np.float64`` too)
+        are written with ``float.__repr__``, as ``json`` writes them, and every
+        other scalar through ``json.dumps``.  The config must hold the keys
+        ``verify_lax_representation`` writes, in its order (ValueError
+        otherwise)."""
+        cfg = self.config
+        if tuple(cfg) != _CONFIG_KEYS:
+            raise ValueError(f"config keys {list(cfg)} are not {list(_CONFIG_KEYS)}")
+        checks = [_CHECK_JSON.format(json.dumps(c.name), _json_scalar(c.max_residual),
+                                     _json_scalar(c.tolerance), json.dumps(c.passed))
+                  for c in self.checks]
+        return _REPORT_JSON.format(
+            _json_list(checks, 2), _json_scalar(cfg["omega"]), _json_scalar(cfg["q0"]),
+            _json_scalar(cfg["p0"]), _json_list(map(_json_scalar, cfg["c"]), 4),
+            _json_scalar(cfg["t_end"]), _json_scalar(cfg["steps"]),
+            _json_scalar(cfg["tol"]), _json_scalar(cfg["seed"]))
+
+
+# the report's text as json.dumps(..., indent=2) lays it out
+_CONFIG_KEYS = ("omega", "q0", "p0", "c", "t_end", "steps", "tol", "seed")
+_CHECK_JSON = ('{{\n      "name": {},\n      "max_residual": {},\n'
+               '      "tolerance": {},\n      "pass": {}\n    }}')
+_REPORT_JSON = ('{{\n  "checks": {},\n  "config": {{\n    "omega": {},\n    "q0": {},\n'
+                '    "p0": {},\n    "c": {},\n    "t_end": {},\n    "steps": {},\n'
+                '    "tol": {},\n    "seed": {}\n  }}\n}}\n')
+
+
+def _json_scalar(x) -> str:
+    return float.__repr__(x) if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
+
+
+def _json_list(items, depth: int) -> str:
+    """A list, at ``depth`` spaces, of items already laid out one level deeper."""
+    pad = "\n" + " " * (depth + 2)
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}\n{' ' * depth}]" if body else "[]"
+
 
 def lax_rhs_index(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
     """[M, mu] via the index formula, for any dimension n.
@@ -239,9 +279,13 @@ def _k_matrix(c: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _aux_rows(aux: AuxValues, out=None) -> np.ndarray:
-    fields = [aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus]
-    a = np.array(fields, dtype=float) if out is None else np.stack(fields, out=out)
-    return np.moveaxis(a, 0, -1)  # (..., 4): a stack of aux rows
+    """A stack of aux rows, shape (..., 4); with ``out``, a (4, n) block
+    filled row by row, whose transpose it returns."""
+    if out is None:
+        fields = [aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus]
+        return np.moveaxis(np.array(fields, dtype=float), 0, -1)
+    out[0], out[1], out[2], out[3] = aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus
+    return out.T
 
 
 def _times_k(rows: np.ndarray, k: np.ndarray, scale: float, out=None) -> np.ndarray:

@@ -192,7 +192,7 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
     the rows are filled in place by doubling, ys[m:2m] = ys[:m] @ (P^m)^T,
     which takes O(log steps) matrix products (Moler & Van Loan, "Nineteen
     dubious ways to compute the exponential of a matrix", 2003), then one
-    scan for non-finite rows.  Squaring stops at the last finite power of P;
+    scan for non-finite rows.  Doubling stops at the last finite power of P;
     later rows are filled in blocks of that power, so an overflowing power
     never reports a step before the state itself turns non-finite.  The
     step named is the first whose state is non-finite; ``rk4_path`` can
@@ -227,18 +227,24 @@ def _rk4_linear_rows(a, y0, t_end: float, steps: int, out=None) -> np.ndarray:
         power = eye + ha / 4.0
         for d in (3.0, 2.0, 1.0):
             power = eye + (ha @ power) / d
-        m = stride = 1
+        # the ladder P^(2^j), 2^j <= steps; a square of a non-finite matrix is
+        # non-finite (inf * 0 is NaN), so its finite powers are a prefix, and
+        # one scan of its last rung finds them in a run that stays finite
+        ladder = [power]
+        while 1 << len(ladder) <= steps:
+            ladder.append(ladder[-1] @ ladder[-1])
+        while len(ladder) > 1 and not np.isfinite(ladder[-1]).all():
+            ladder.pop()
+        top = 1 << (len(ladder) - 1)
+        m = 1
         while m <= steps:
-            # rows [m, m + count) are P^stride times rows [m - stride, ...)
+            # rows [m, m + count) are P^stride times rows [m - stride, ...):
+            # doubling up to the last finite power, then blocks of it
+            stride = min(m, top)
             count = min(stride, steps + 1 - m)
-            np.matmul(ys[m - stride : m - stride + count], power.T, out=ys[m : m + count])
+            np.matmul(ys[m - stride : m - stride + count], ladder[stride.bit_length() - 1].T,
+                      out=ys[m : m + count])
             m += count
-            # square only while the rows still double; after a non-finite
-            # square m passes 2 * stride and the power stays fixed
-            if m == 2 * stride and m <= steps:
-                squared = power @ power
-                if np.isfinite(squared).all():
-                    power, stride = squared, m
     return ys
 
 

@@ -22,7 +22,10 @@ that the tests can compare the generators against them.
   generators built from M = ``m_matrix(omega)`` on each call, the routes the
   package's constant patterns scaled by omega/2 replace bit for bit;
 * ``aux_reference`` and ``assert_within_ulps`` - the principal aux seed
-  (A+, A-) to 60 digits, and the ulp bound ``aux_algebraic`` is held to.
+  (A+, A-) to 60 digits, and the ulp bound ``aux_algebraic`` is held to;
+* ``rk4_linear_rows_loop`` - the RK4 rows by doubling, each square scanned as
+  it is made: the loop ``_rk4_linear_rows`` ran before it scanned only the
+  last rung of its ladder of powers.
 """
 
 import math
@@ -185,3 +188,31 @@ def assert_within_ulps(a, q, p, omega, ulps=4):
     want = aux_reference(q, p, omega)
     for got, ref in zip((a.a_plus, a.a_minus), want):
         assert abs(got - ref) <= ulps * math.ulp(ref), (q, p, omega, got, ref)
+
+
+def rk4_linear_rows_loop(a, y0, t_end: float, steps: int, out=None) -> np.ndarray:
+    """The rows of ``rk4_linear_path``, unchecked (a run that overflows
+    leaves non-finite rows for the caller's ``_check_states``), written
+    into ``out`` when given."""
+    y = np.asarray(y0, dtype=float)
+    ys = np.empty((steps + 1, y.size)) if out is None else out
+    ys[0] = y
+    eye = np.eye(y.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ha = (t_end / steps) * np.asarray(a, dtype=float)
+        power = eye + ha / 4.0
+        for d in (3.0, 2.0, 1.0):
+            power = eye + (ha @ power) / d
+        m = stride = 1
+        while m <= steps:
+            # rows [m, m + count) are P^stride times rows [m - stride, ...)
+            count = min(stride, steps + 1 - m)
+            np.matmul(ys[m - stride : m - stride + count], power.T, out=ys[m : m + count])
+            m += count
+            # square only while the rows still double; after a non-finite
+            # square m passes 2 * stride and the power stays fixed
+            if m == 2 * stride and m <= steps:
+                squared = power @ power
+                if np.isfinite(squared).all():
+                    power, stride = squared, m
+    return ys

@@ -16,6 +16,7 @@ from operadlax import (
     aux_algebraic,
     aux_exact_flow,
     aux_generator,
+    closed_form_path,
     exact_flow,
     hamilton_generator,
     hamiltonian,
@@ -25,6 +26,7 @@ from operadlax import (
     rk4_linear_path,
     rk4_path,
 )
+from operadlax.oscillator import _rk4_linear_rows
 from exact_algebra import OMEGAS, chain_jacobians, rational_points, rotation_chain
 from reference_rhs import (
     _explicit_rhs,
@@ -34,6 +36,7 @@ from reference_rhs import (
     hamilton_rhs,
     lax_rhs_bracket,
     lax_rhs_explicit,
+    rk4_linear_rows_loop,
 )
 
 
@@ -235,6 +238,41 @@ def test_rk4_linear_path_blowup_step_matches_loop(y0, t_end, steps, step):
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match=f"at step {step} "):
             rk4_linear_path(a, y0, t_end, steps)
+
+
+def first_nonfinite_rung(a, h):
+    """The least j with a non-finite P^(2^j), P the RK4 step matrix of h a."""
+    j = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = sum(np.linalg.matrix_power(h * a, k) / math.factorial(k) for k in range(5))
+        while np.isfinite(p).all():
+            p, j = p @ p, j + 1
+    return j
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025, 10007])
+def test_rk4_linear_rows_match_the_per_square_scan_loop(steps):
+    # verify's two runs at the middle of the benchmark's draw: bit for bit
+    omega, q0, p0 = 1.7, 0.4, -1.2
+    s0 = OscState(q0, p0, omega)
+    mu0 = closed_form_path(aux_algebraic(s0), np.random.default_rng(15).uniform(-1.0, 1.0, 8))
+    t_end = 5 * 2.0 * math.pi / omega
+    for a, y0 in ((lax_generator(omega), mu0), (hamilton_generator(omega), [q0, p0])):
+        want = rk4_linear_rows_loop(a, y0, t_end, steps)
+        assert _rk4_linear_rows(a, y0, t_end, steps).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rung", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("steps", [40, 1025])
+def test_rk4_linear_rows_match_the_loop_when_a_square_overflows(rung, steps):
+    # P's entries near (h omega)^4 / 24: the rung-th square is the first to
+    # overflow (P itself at rung 0); the NaN and inf positions count too
+    a = hamilton_generator(1.0)
+    h = 1e80 if rung == 0 else (24.0 * 10.0 ** (231.0 / 2 ** (rung - 1))) ** 0.25
+    assert first_nonfinite_rung(a, h) == rung
+    for y0 in ((1e-300, 1e-300), (1.0, 0.0), (0.0, 0.0)):
+        want = rk4_linear_rows_loop(a, y0, h * steps, steps)
+        assert _rk4_linear_rows(a, y0, h * steps, steps).tobytes() == want.tobytes()
 
 
 def test_lax_matrices_example():

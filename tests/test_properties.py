@@ -2,8 +2,8 @@
 over omega in [1e-3, 1e3] and amplitudes across 200 decades, the aux seed
 against a 60-digit reference over amplitudes across 24 decades, the
 closed form's step defect over amplitudes across 12 decades,
-simulate's JSON table against ``json.dumps`` for any finite doubles, and
-the CLI's exit contract under extreme flag values."""
+simulate's JSON table and verify's report against ``json.dumps`` for any
+finite doubles, and the CLI's exit contract under extreme flag values."""
 
 import contextlib
 import io
@@ -21,10 +21,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from operadlax import (  # noqa: E402
     AuxValues,
+    CheckResult,
     OscState,
+    SolutionParams,
+    VerificationReport,
     aux_algebraic,
     cli,
     lax_generator,
+    verify_lax_representation,
 )
 from reference_rhs import (  # noqa: E402
     _explicit_rhs,
@@ -115,6 +119,54 @@ def test_json_table_matches_json_dumps(values):
     names = cli.CSV_HEADER.split(",")
     rows = [dict(zip(names, row)) for row in table.tolist()]
     assert cli._format_table(table, "json") == json.dumps(rows, indent=2) + "\n"
+
+
+# report values: signed zeros, the least subnormal and the largest double,
+# infinities and NaN among any doubles, as floats and np.float64
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+report_floats = st.one_of(st.sampled_from(EDGES + [math.inf, -math.inf]), st.floats())
+report_reals = st.one_of(report_floats, report_floats.map(np.float64), st.integers())
+# the config's keys in the order verify writes them
+report_configs = st.tuples(
+    report_reals, report_reals, report_reals, st.lists(report_floats, min_size=8, max_size=8),
+    report_floats, st.integers(2), report_floats, st.none() | st.integers(0),
+).map(lambda values: dict(zip(("omega", "q0", "p0", "c", "t_end", "steps", "tol", "seed"),
+                              values)))
+report_checks = st.lists(st.builds(CheckResult, st.sampled_from(
+    ["closed_form_vs_rk4", "lax_equation_residual", "mu_norm_drift", "hamiltonian_drift"]),
+    report_floats, report_floats, st.booleans()), max_size=4)
+
+
+@properties
+@given(checks=report_checks, config=report_configs)
+def test_report_to_json_matches_json_dumps(checks, config):
+    report = VerificationReport(tuple(checks), config)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+@properties
+@given(state=st.tuples(*[st.one_of(st.sampled_from(EDGES[:4]), st.integers(-3, 3),
+                                   st.floats(-3.0, 3.0).map(np.float64))] * 2),
+       omega=st.one_of(st.integers(1, 30), omegas.map(np.float64)),
+       c=st.lists(st.one_of(st.sampled_from(EDGES[:4]), st.floats(-1.0, 1.0)),
+                  min_size=8, max_size=8),
+       tol=st.sampled_from([5e-324, 1e-7, 1.7976931348623157e308]),
+       seed=st.none() | st.integers(0, 2**40), steps=st.integers(2, 16))
+def test_verify_prints_its_report_to_json(tmp_path_factory, state, omega, c, tol, seed, steps):
+    # library callers may pass ints and np.float64, and the report echoes them
+    q0, p0 = state
+    report = verify_lax_representation(SolutionParams(c), OscState(q0, p0, omega), 3.0, steps,
+                                       tol, seed=seed)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+    # the CLI reads floats, and prints what the library reports for them
+    config = tmp_path_factory.getbasetemp() / "empty.json"
+    config.write_text("{}")
+    argv = ["verify", str(config), f"--q0={float(q0)!r}", f"--p0={float(p0)!r}",
+            f"--omega={float(omega)!r}", "--c=" + ",".join(map(repr, c)), "--t-end=3.0",
+            f"--steps={steps}", f"--tol={tol!r}", f"--seed={seed or 0}"]
+    want = verify_lax_representation(SolutionParams(c), OscState(float(q0), float(p0),
+                                     float(omega)), 3.0, steps, tol, seed=seed or 0)
+    assert run_cli(argv) == (0 if want.all_passed() else 1, want.to_json(), "")
 
 
 # flag values: signed zeros, the least subnormal, 1e-300 to 1.7e308 of

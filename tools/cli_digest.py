@@ -176,6 +176,15 @@ NEGATIVE_ARGV = [
 ]
 
 
+# verify's report template at its edges: a signed zero and the least
+# subnormal in c, and the least subnormal as tol (the "=" form, because
+# "-0.0" would read as a flag)
+TEMPLATE_ARGV = [
+    ["verify", "{empty}", "--c=-0.0,5e-324,0,0,0,0,0,0"],
+    ["verify", "{empty}", "--tol", "5e-324"],
+]
+
+
 # argparse's own output: the help texts, main's parser.error checks on the
 # axioms flags, and a missing config or subcommand (each exits 0 or 2)
 PARSER_ARGV = [
@@ -245,6 +254,11 @@ def main():
             print(f"seed-{k}", run([a.format(empty=path) for a in argv]))
     for k, argv in enumerate(NEGATIVE_ARGV):
         print(f"negative-{k}", run(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "empty.json"
+        path.write_text("{}")
+        for k, argv in enumerate(TEMPLATE_ARGV):
+            print(f"template-{k}", run([a.format(empty=path) for a in argv]))
 
 
 if __name__ == "__main__":

@@ -12,8 +12,12 @@ One ``verify`` request samples [0, t_end] at steps + 1 times and runs:
   (N, 8) array, with the matrix product and difference beside it, the
   same work as the Lax residual and norm drift checks;
 * ``total``        - the whole ``verify_lax_representation`` call;
+* ``report``       - the report's JSON text, as ``cmd_verify`` prints it:
+  ``to_json``, or ``json.dumps(to_dict(), indent=2)`` on trees without it;
 * ``setup``        - a 2-step ``verify_lax_representation`` call (printed
-  once, at 2 steps): the cost of a request that does not grow with N.
+  once, at 2 steps): the cost of a request that does not grow with N;
+* ``cli_fixed``    - a 2-step in-process ``cli.main(["verify", cfg])``
+  request (printed once): ``setup`` plus the config, parser and report.
 
 Each figure is the best of several runs of a short loop, in
 microseconds per call, at 1e3 and 1e4 steps (the benchmark's range).  Then
@@ -32,6 +36,10 @@ shows where the time goes before and after a change:
     PYTHONPATH=src python tools/verify_timing.py [--repeat N]
 
 BLAS/OpenMP threads are pinned to 1 before numpy loads (``pin_threads``).
+Its figures are best-of runs of one tree at a time, and on a shared
+machine they drift between runs by more than many changes move them.  To
+compare two trees, use ``tools/ab_timing.py``, which alternates them in
+one process and reports paired ratios.
 """
 
 import pin_threads  # noqa: F401  (first: numpy must not load before it)
@@ -95,6 +103,7 @@ def stages(steps: int):
     c = params.values
     mu = closed_form_path(aux_exact_flow(a0, omega, ts), c)
     rates = AuxValues(*(aux_generator(omega) @ np.array(astuple(aux_exact_flow(a0, omega, ts)))))
+    report = verify_lax_representation(params, s0, t_end, steps, 1e-7)
     return {
         "closed_form": lambda: closed_form_path(aux_exact_flow(a0, omega, ts), c),
         "derivative": lambda: closed_form_path(rates, c),
@@ -103,6 +112,7 @@ def stages(steps: int):
                                           t_end, steps),
         "norms": lambda: step_defect(mu, omega, t_end / steps),
         "total": lambda: verify_lax_representation(params, s0, t_end, steps, 1e-7),
+        "report": getattr(report, "to_json", lambda: json.dumps(report.to_dict(), indent=2)),
     }
 
 
@@ -111,9 +121,9 @@ def setup_us(repeat: int) -> float:
     return best_us(lambda: verify_lax_representation(params, s0, t_end, 2, 1e-7), repeat)
 
 
-def request_ms(repeat: int) -> float:
-    """Best mean wall time, in ms, of a cycle of in-process ``verify``
-    requests, one per benchmark step count."""
+def best_cycle_s(steps, repeat: int) -> float:
+    """Best wall time, in s, of a cycle of in-process ``verify`` requests,
+    one per step count."""
     s0, params, t_end = oscillator()
     cfg = {"omega": OMEGA, "q0": Q0, "p0": P0, "c": params.values.tolist(),
            "t_end": t_end, "tol": 1e-7, "seed": 1}
@@ -121,7 +131,7 @@ def request_ms(repeat: int) -> float:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        argvs = [["verify", path, "--steps", str(n)] for n in REQUEST_STEPS]
+        argvs = [["verify", path, "--steps", str(n)] for n in steps]
         best = math.inf
         with contextlib.redirect_stdout(io.StringIO()):
             for _ in range(repeat + 1):  # the first cycle warms up
@@ -129,7 +139,19 @@ def request_ms(repeat: int) -> float:
                 for argv in argvs:
                     cli.main(argv)
                 best = min(best, time.perf_counter() - start)
-    return best / len(argvs) * 1e3
+    return best
+
+
+def request_ms(repeat: int) -> float:
+    """Best mean wall time, in ms, of a cycle of in-process ``verify``
+    requests, one per benchmark step count."""
+    return best_cycle_s(REQUEST_STEPS, repeat) / len(REQUEST_STEPS) * 1e3
+
+
+def cli_fixed_us(repeat: int) -> float:
+    """Best wall time, in µs, of a 2-step in-process ``verify`` request,
+    over cycles of 100."""
+    return best_cycle_s([2] * 100, repeat) / 100 * 1e6
 
 
 def minor_faults(steps: int) -> float:
@@ -161,6 +183,7 @@ def main():
         for name, fn in stages(steps).items():
             print(f"{name} {steps} {best_us(fn, args.repeat):.1f}")
     print(f"setup 2 {setup_us(args.repeat):.1f}")
+    print(f"cli_fixed 2 {cli_fixed_us(args.repeat):.1f}")
     print(f"request_ms {request_ms(args.repeat):.3f} (mean of {len(REQUEST_STEPS)} step counts)")
     print("minflt steps per_warm_call")
     for steps in REQUEST_STEPS:
