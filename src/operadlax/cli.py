@@ -249,6 +249,8 @@ def _simulate_samples(cfg: RunConfig, integrator: str):
     a0 = aux_algebraic(s0)
     ts = np.linspace(0.0, cfg.t_end, cfg.steps + 1)
 
+    # the closed form and each RK4 run are (samples, d) views of contiguous
+    # (d, samples) component rows: .T hands the table its columns, uncopied
     if integrator == "exact":
         q, p = exact_path(s0, ts)
         flow = aux_exact_flow(a0, omega, ts)

@@ -131,10 +131,10 @@ def frobenius_norm(f: Operation) -> float:
     return float(_norm(f.coeffs))
 
 
-def _norm(x: np.ndarray, axis: int | None = None, out=None) -> np.ndarray | float:
+def _norm(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """``np.linalg.norm(x, axis=axis)`` without overflow or warnings: a norm
     made infinite by squaring finite entries (above ~1e154) is recomputed scaled
-    by the largest magnitude, others keep their bits; (N, 8) rows square into out."""
+    by the largest magnitude, others keep their bits."""
     if axis is None and x.dtype == np.float64:
         # np.linalg.norm's sum of squares is the BLAS dot of the flat entries;
         # vdot takes that dot without numpy's floating-point error check, so a
@@ -144,14 +144,7 @@ def _norm(x: np.ndarray, axis: int | None = None, out=None) -> np.ndarray | floa
         if math.isfinite(norm):
             return norm
     with np.errstate(over="ignore", invalid="ignore"):
-        if axis == 1 and x.shape[1:] == (8,) and x.flags.c_contiguous:
-            # the row norms of (N, 8) samples, summed in numpy's pairwise
-            # order for 8 contiguous values: norm's bits in half its time
-            s = np.multiply(x, x, out=out)
-            norms = np.sqrt(((s[:, 0] + s[:, 1]) + (s[:, 2] + s[:, 3]))
-                            + ((s[:, 4] + s[:, 5]) + (s[:, 6] + s[:, 7])))
-        else:
-            norms = np.linalg.norm(x, axis=axis)
+        norms = np.linalg.norm(x, axis=axis)
         # numpy's all() on a scalar costs more than the norm itself
         if math.isfinite(norms) if axis is None else np.isfinite(norms).all():
             return norms
@@ -159,3 +152,20 @@ def _norm(x: np.ndarray, axis: int | None = None, out=None) -> np.ndarray | floa
         scale = np.max(np.abs(x), axis=axis, keepdims=True)  # finite iff all entries are
         rescaled = scale * np.linalg.norm(x / scale, axis=axis, keepdims=True)
         return np.where(~np.isfinite(norms) & np.isfinite(scale), rescaled, norms).squeeze(axis)
+
+
+def _sample_norms(rows: np.ndarray, out=None) -> np.ndarray:
+    """The norm of each sample (column) of (8, N) component rows, with the
+    bits ``_norm(samples, axis=1)`` gives the same samples laid out as a
+    C-contiguous (N, 8) array, overflow handling included.  The squares
+    go into ``out``, an (8, N) block."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy sums 8 contiguous values as ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)):
+        # here each sum is one add of two contiguous rows of squares, in place
+        s = np.multiply(rows, rows, out=out)
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            np.add(s[i], s[j], out=s[i])
+        norms = np.sqrt(s[0])
+    if np.isfinite(norms).all():
+        return norms
+    return _norm(np.ascontiguousarray(rows.T), axis=1)  # rescales what overflowed

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import Operation, _norm
+from .multilinear import Operation, _sample_norms
 from .oscillator import (
     _ROTATION,
     AuxValues,
@@ -279,19 +279,20 @@ def _k_matrix(c: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _aux_rows(aux: AuxValues, out=None) -> np.ndarray:
-    """A stack of aux rows, shape (..., 4); with ``out``, a (4, n) block
-    filled row by row, whose transpose it returns."""
+    """The aux fields stacked as rows, shape (4, ...); with ``out``, a (4, n)
+    block filled row by row."""
     if out is None:
-        fields = [aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus]
-        return np.moveaxis(np.array(fields, dtype=float), 0, -1)
+        return np.array([aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus], dtype=float)
     out[0], out[1], out[2], out[3] = aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus
-    return out.T
+    return out
 
 
-def _times_k(rows: np.ndarray, k: np.ndarray, scale: float, out=None) -> np.ndarray:
+def _times_k(k: np.ndarray, scale: float, rows: np.ndarray, out=None) -> np.ndarray:
+    """k @ rows: K(C) (or K(C) R) on the (4, n) aux rows, as (8, n)
+    component rows scaled back by ``scale`` (``_k_matrix``)."""
     # overflow leaves non-finite entries, which the callers' checks report
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.matmul(rows, k.T, out=out)
+        mu = np.matmul(k, rows, out=out)
         if scale != 1.0:
             mu *= scale
     return mu
@@ -312,9 +313,13 @@ def closed_form_mu(aux: AuxValues, params: SolutionParams) -> StructureConstants
 def closed_form_path(aux: AuxValues, c) -> np.ndarray:
     """The closed form K(C) a on the aux values given, shape (..., 8) for aux
     fields of shape (...) (a trajectory: ``aux_exact_flow(a0, omega, ts)``),
-    with c checked as ``SolutionParams`` checks it: one product of the
-    stacked aux with K(C)^T."""
-    return _times_k(_aux_rows(aux), *_k_matrix(_flat8(c, "solution parameters")))
+    with c checked as ``SolutionParams`` checks it: one product of K(C) with
+    the aux stacked as (4, n) rows.  The result is a view of the (8, ...)
+    component rows, so for a trajectory ``.T`` gives them back contiguous."""
+    k, scale = _k_matrix(_flat8(c, "solution parameters"))
+    rows = _aux_rows(aux)
+    mu = _times_k(k, scale, rows.reshape(4, -1)).reshape((8,) + rows.shape[1:])
+    return np.moveaxis(mu, 0, -1)
 
 
 def _propagator(omega: float, h: float) -> np.ndarray:
@@ -332,19 +337,26 @@ def _propagator(omega: float, h: float) -> np.ndarray:
 def step_defect(mu: np.ndarray, omega: float, h: float) -> np.ndarray:
     """Per-sample || mu[k] - exp(hA) mu[k-1] || of mu, shaped (samples, 8) and sampled
     every h, with row 0 = 0.0: rounding on an exact trajectory, the local truncation
-    error on an RK4 run.  Needs a positive omega and a finite h (ValueError otherwise)."""
+    error on an RK4 run.  Needs a positive omega and a finite h (ValueError otherwise).
+
+    It runs on the (8, samples) component rows mu.T, contiguous when mu is the view
+    ``closed_form_path`` or ``rk4_linear_path`` returns; other input is read through
+    its transpose, uncopied."""
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[1] != 8:
         raise ValueError(f"step_defect needs mu shaped (samples, 8), got {mu.shape}")
-    res = np.zeros(mu.shape)
-    np.matmul(mu[:-1], _propagator(omega, h).T, out=res[1:])
-    np.subtract(mu[1:], res[1:], out=res[1:])
-    return _norm(res, axis=1)
+    rows = mu.T
+    res = np.zeros(rows.shape)
+    np.matmul(_propagator(omega, h), rows[:, :-1], out=res[:, 1:])
+    # whole rows subtract faster than their strided tails; sample 0 is reset after
+    np.subtract(rows, res, out=res)
+    res[:, :1] = 0.0
+    return _sample_norms(res)
 
 
-def _require_finite(stage: str, values: np.ndarray, ts: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        k = int(np.argmin(np.isfinite(values).all(axis=1)))  # the first non-finite row
+def _require_finite(stage: str, rows: np.ndarray, ts: np.ndarray) -> None:
+    if not np.isfinite(rows).all():
+        k = int(np.argmin(np.isfinite(rows).all(axis=0)))  # the first non-finite sample
         raise IntegrationError(f"{stage}: non-finite value at sample {k} (t = {ts[k]:.6g})")
 
 
@@ -358,11 +370,11 @@ _WORKSPACE_BYTES = 32 << 20  # the most a thread keeps: about 1.9e5 steps
 
 
 def _verify_blocks(n: int) -> tuple[np.ndarray, ...]:
-    """C-contiguous float blocks for an n-sample verify call: the (4, n) aux
-    stack, mu_cf and the shared buffer, (n, 8) each, and the (n, 2) (q, p)
-    rows.  They are views of this thread's workspace, grown to fit, unless
-    they exceed ``_WORKSPACE_BYTES``: then they are fresh and the workspace
-    stays as it is."""
+    """C-contiguous float blocks of component rows for an n-sample verify
+    call: the (4, n) aux stack, mu_cf and the shared buffer, (8, n) each,
+    and the (2, n) (q, p) rows.  They are views of this thread's workspace,
+    grown to fit, unless they exceed ``_WORKSPACE_BYTES``: then they are
+    fresh and the workspace stays as it is."""
     size = 22 * n
     if 8 * size > _WORKSPACE_BYTES:
         flat = np.empty(size)
@@ -371,8 +383,8 @@ def _verify_blocks(n: int) -> tuple[np.ndarray, ...]:
     else:
         _WORKSPACE.flat = None  # the old block is freed before its successor
         flat = _WORKSPACE.flat = np.empty(size)
-    return (flat[: 4 * n].reshape(4, n), flat[4 * n : 12 * n].reshape(n, 8),
-            flat[12 * n : 20 * n].reshape(n, 8), flat[20 * n : size].reshape(n, 2))
+    return (flat[: 4 * n].reshape(4, n), flat[4 * n : 12 * n].reshape(8, n),
+            flat[12 * n : 20 * n].reshape(8, n), flat[20 * n : size].reshape(2, n))
 
 
 def verify_lax_representation(
@@ -401,14 +413,18 @@ def verify_lax_representation(
     Both RK4 runs integrate linear systems as ``rk4_linear_path`` does
     (classical RK4, equal to a step-by-step loop up to rounding): the mu
     run with ``lax_generator``, the (q, p) run with Hamilton's generator.
-    The grid ts and each generator are formed once per call.  The call's
-    four request-sized blocks (the aux stack, the closed form, the shared
-    (N, 8) buffer and the (q, p) rows) are views of a per-thread workspace
-    that is kept between calls and grown to fit, so a warm call does not
-    map them afresh.  Blocks above 32 MiB (about 1.9e5 steps) are fresh and
-    the workspace keeps none of them.  The report holds plain floats, so no
-    returned value aliases the workspace.  A one-shot process gains
-    nothing: its first call maps every page.
+    The grid ts and each generator are formed once per call.  Every
+    per-sample block is component-major, contiguous (d, N) rows: the (4, N)
+    aux stack, the (8, N) closed form and shared buffer, and the (2, N)
+    (q, p) rows.  So each product (K(C) @ stack, the RK4 ladder's
+    P^s @ rows, the bracket A @ mu) runs along the long sample axis, and
+    the norms and energies read contiguous rows.  The four blocks are
+    views of a per-thread workspace that is kept between calls and grown to
+    fit, so a warm call does not map them afresh.  Blocks above 32 MiB
+    (about 1.9e5 steps) are fresh and the workspace keeps none of them.
+    The report holds plain floats, so no returned value aliases the
+    workspace.  A one-shot process gains nothing: its first call maps
+    every page.
 
     A step t_end / steps that underflows to 0 raises ``ValueError``.
     Each check passes iff its max residual is <= tol.  A non-finite closed
@@ -429,36 +445,36 @@ def verify_lax_representation(
     omega = s0.omega
     ts = np.linspace(0.0, t_end, steps + 1)
     generator = lax_generator(omega)
-    # buf, the one other (N, 8) array: the norms' squares, the RK4 run of mu
+    # buf, the one other (8, N) block: the norms' squares, the RK4 run of mu
     # and its gap, then [M, mu] and the squares of d(mu)/dt - [M, mu]
     stack, mu_cf, buf, qp = _verify_blocks(steps + 1)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts), out=stack)
+        _aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts), out=stack)
         k, scale = _k_matrix(params.values)
-        _times_k(rows, k, scale, out=mu_cf)
-        norms = _norm(mu_cf, axis=1, out=buf)
+        _times_k(k, scale, stack, out=mu_cf)
+        norms = _sample_norms(mu_cf, out=buf)
         # past an infinite first norm the gaps are inf - inf; that drift is infinite
         norm_drift = _max_gap(norms, norms[0], norms) if math.isfinite(norms[0]) else math.inf
         if not math.isfinite(norm_drift):
             _require_finite("closed_form", mu_cf, ts)
 
         # the gap is taken in the run's rows, so its scan runs the RK4 again
-        gap = _max_gap(_rk4_linear_rows(generator, mu_cf[0], t_end, steps, buf), mu_cf, buf)
+        gap = _max_gap(_rk4_linear_rows(generator, mu_cf[:, 0], t_end, steps, buf), mu_cf, buf)
         if not math.isfinite(gap):
-            mu_rk4 = _rk4_linear_rows(generator, mu_cf[0], t_end, steps)
+            mu_rk4 = _rk4_linear_rows(generator, mu_cf[:, 0], t_end, steps)
             _check_states("closed_form_vs_rk4: ", mu_rk4, ts)
 
-        bracket = np.matmul(mu_cf, generator.T, out=buf)
+        bracket = np.matmul(generator, mu_cf, out=buf)
         # exactly d(mu)/dt, in mu_cf's place
-        dmu = _times_k(rows, k @ aux_generator(omega), scale, out=mu_cf)
+        dmu = _times_k(k @ aux_generator(omega), scale, stack, out=mu_cf)
         dmu -= bracket
-        lax_res = float(np.max(_norm(dmu, axis=1, out=buf)))
+        lax_res = float(np.max(_sample_norms(dmu, out=buf)))
         if not math.isfinite(lax_res):
             _require_finite("lax_equation_residual", dmu, ts)
 
         _rk4_linear_rows(hamilton_generator(omega), [s0.q, s0.p], t_end, steps, qp)
-        energies = energy(qp[:, 0], qp[:, 1], omega)
+        energies = energy(qp[0], qp[1], omega)
         h_drift = _max_gap(energies, energies[0], energies)
         if not math.isfinite(h_drift):
             _check_states("hamiltonian_drift: ", qp, ts)

@@ -189,20 +189,23 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
     matrix P = sum_{k<=4} (h a)^k / k!, the method's stability polynomial,
     so the trajectory is y_k = P^k y0: still RK4 with the same truncation
     error, only rounded differently.  P is built once by Horner's rule and
-    the rows are filled in place by doubling, ys[m:2m] = ys[:m] @ (P^m)^T,
-    which takes O(log steps) matrix products (Moler & Van Loan, "Nineteen
+    the states are filled in place by doubling, on (d, steps + 1) component
+    rows: ys[:, m:2m] = P^m @ ys[:, :m], which takes O(log steps) matrix
+    products along the long sample axis (Moler & Van Loan, "Nineteen
     dubious ways to compute the exponential of a matrix", 2003), then one
-    scan for non-finite rows.  Doubling stops at the last finite power of P;
-    later rows are filled in blocks of that power, so an overflowing power
-    never reports a step before the state itself turns non-finite.  The
-    step named is the first whose state is non-finite; ``rk4_path`` can
+    scan for non-finite states.  Doubling stops at the last finite power of
+    P; later states are filled in blocks of that power, so an overflowing
+    power never reports a step before the state itself turns non-finite.
+    The step named is the first whose state is non-finite; ``rk4_path`` can
     stop one step earlier when its stage values (such as a @ y) overflow
     before the state does.
 
     The function is the grid ts, the rows of ``_rk4_linear_rows`` and that
-    scan (``_check_states``).  ``verify_lax_representation`` takes the rows
-    alone, on its own grid, and scans them only when its reduction over
-    them is non-finite; the generator ``a`` is formed once by the caller.
+    scan (``_check_states``); ys is the (steps + 1, d) transposed view of
+    the rows, so ``ys.T`` gives them back contiguous, without a copy.
+    ``verify_lax_representation`` takes the rows alone, on its own grid, and
+    scans them only when its reduction over them is non-finite; the
+    generator ``a`` is formed once by the caller.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -211,16 +214,19 @@ def rk4_linear_path(a, y0, t_end: float, steps: int):
     ts = np.linspace(0.0, t_end, steps + 1)
     ys = _rk4_linear_rows(a, y0, t_end, steps)
     _check_states("", ys, ts)
-    return ts, ys
+    return ts, ys.T
 
 
 def _rk4_linear_rows(a, y0, t_end: float, steps: int, out=None) -> np.ndarray:
-    """The rows of ``rk4_linear_path``, unchecked (a run that overflows
-    leaves non-finite rows for the caller's ``_check_states``), written
-    into ``out`` when given."""
+    """The states of ``rk4_linear_path`` as component rows, shape
+    (len(y0), steps + 1), unchecked (a run that overflows leaves non-finite
+    samples for the caller's ``_check_states``), written into ``out`` when
+    given.  Each block of samples is one product P^s @ ys[:, ...] along the
+    contiguous sample axis; it has the bits of the sample-major product
+    ys[...] @ (P^s)^T."""
     y = np.asarray(y0, dtype=float)
-    ys = np.empty((steps + 1, y.size)) if out is None else out
-    ys[0] = y
+    ys = np.empty((y.size, steps + 1)) if out is None else out
+    ys[:, 0] = y
     eye = np.eye(y.size)
     with np.errstate(over="ignore", invalid="ignore"):
         ha = (t_end / steps) * np.asarray(a, dtype=float)
@@ -238,23 +244,24 @@ def _rk4_linear_rows(a, y0, t_end: float, steps: int, out=None) -> np.ndarray:
         top = 1 << (len(ladder) - 1)
         m = 1
         while m <= steps:
-            # rows [m, m + count) are P^stride times rows [m - stride, ...):
+            # samples [m, m + count) are P^stride times samples [m - stride, ...):
             # doubling up to the last finite power, then blocks of it
             stride = min(m, top)
             count = min(stride, steps + 1 - m)
-            np.matmul(ys[m - stride : m - stride + count], ladder[stride.bit_length() - 1].T,
-                      out=ys[m : m + count])
+            np.matmul(ladder[stride.bit_length() - 1], ys[:, m - stride : m - stride + count],
+                      out=ys[:, m : m + count])
             m += count
     return ys
 
 
 def _check_states(stage: str, ys: np.ndarray, ts: np.ndarray) -> None:
     """Raise IntegrationError, its message led by ``stage``, at the first
-    non-finite state of an RK4 run after its seed ys[0]."""
-    if not np.isfinite(ys[1:]).all():
-        # rows are only ever built from earlier rows, so the first
+    non-finite state of an RK4 run, given as component rows, after its
+    seed ys[:, 0]."""
+    if not np.isfinite(ys[:, 1:]).all():
+        # samples are only ever built from earlier samples, so the first
         # non-finite one is the step where the state turned
-        k = 1 + int(np.argmin(np.isfinite(ys[1:]).all(axis=1)))
+        k = 1 + int(np.argmin(np.isfinite(ys[:, 1:]).all(axis=0)))
         raise IntegrationError(f"{stage}non-finite state at step {k} (t = {ts[k]:.6g})")
 
 

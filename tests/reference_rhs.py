@@ -25,7 +25,12 @@ that the tests can compare the generators against them.
   (A+, A-) to 60 digits, and the ulp bound ``aux_algebraic`` is held to;
 * ``rk4_linear_rows_loop`` - the RK4 rows by doubling, each square scanned as
   it is made: the loop ``_rk4_linear_rows`` ran before it scanned only the
-  last rung of its ladder of powers.
+  last rung of its ladder of powers;
+* ``rk4_linear_rows_sample_major`` and ``verify_sample_major`` - the RK4 rows
+  and the verifier as they ran before every per-sample block became (d, N)
+  component rows: sample-major (N, d) arrays, each product ys @ P^T, each
+  norm numpy's own over rows of eight.  The package's component-major
+  routes are held to them byte for byte.
 """
 
 import math
@@ -36,18 +41,26 @@ import numpy as np
 
 from operadlax import (
     AuxValues,
+    CheckResult,
+    IntegrationError,
     Operation,
     OscState,
     StructureConstants2,
+    VerificationReport,
     aux_algebraic,
     aux_exact_flow,
     aux_generator,
     bracket,
     closed_form_path,
+    energy,
+    hamilton_generator,
+    lax_generator,
     lax_rhs_index,
     m_matrix,
+    operadic_lax,
     step_defect,
 )
+from operadlax.multilinear import _norm
 from operadlax.oscillator import _check_omega
 
 
@@ -216,3 +229,136 @@ def rk4_linear_rows_loop(a, y0, t_end: float, steps: int, out=None) -> np.ndarra
                 if np.isfinite(squared).all():
                     power, stride = squared, m
     return ys
+
+
+def rk4_linear_rows_sample_major(a, y0, t_end: float, steps: int, out=None) -> np.ndarray:
+    """The rows of ``rk4_linear_path``, unchecked (a run that overflows
+    leaves non-finite rows for the caller's ``_check_states``), written
+    into ``out`` when given."""
+    y = np.asarray(y0, dtype=float)
+    ys = np.empty((steps + 1, y.size)) if out is None else out
+    ys[0] = y
+    eye = np.eye(y.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ha = (t_end / steps) * np.asarray(a, dtype=float)
+        power = eye + ha / 4.0
+        for d in (3.0, 2.0, 1.0):
+            power = eye + (ha @ power) / d
+        # the ladder P^(2^j), 2^j <= steps; a square of a non-finite matrix is
+        # non-finite (inf * 0 is NaN), so its finite powers are a prefix, and
+        # one scan of its last rung finds them in a run that stays finite
+        ladder = [power]
+        while 1 << len(ladder) <= steps:
+            ladder.append(ladder[-1] @ ladder[-1])
+        while len(ladder) > 1 and not np.isfinite(ladder[-1]).all():
+            ladder.pop()
+        top = 1 << (len(ladder) - 1)
+        m = 1
+        while m <= steps:
+            # rows [m, m + count) are P^stride times rows [m - stride, ...):
+            # doubling up to the last finite power, then blocks of it
+            stride = min(m, top)
+            count = min(stride, steps + 1 - m)
+            np.matmul(ys[m - stride : m - stride + count], ladder[stride.bit_length() - 1].T,
+                      out=ys[m : m + count])
+            m += count
+    return ys
+
+
+def _check_states_sample_major(stage: str, ys: np.ndarray, ts: np.ndarray) -> None:
+    if not np.isfinite(ys[1:]).all():
+        k = 1 + int(np.argmin(np.isfinite(ys[1:]).all(axis=1)))
+        raise IntegrationError(f"{stage}non-finite state at step {k} (t = {ts[k]:.6g})")
+
+
+def _require_finite_sample_major(stage: str, values: np.ndarray, ts: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        k = int(np.argmin(np.isfinite(values).all(axis=1)))  # the first non-finite row
+        raise IntegrationError(f"{stage}: non-finite value at sample {k} (t = {ts[k]:.6g})")
+
+
+def _times_k_sample_major(rows: np.ndarray, k: np.ndarray, scale: float, out=None):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.matmul(rows, k.T, out=out)
+        if scale != 1.0:
+            mu *= scale
+    return mu
+
+
+def _max_gap(a, b, out) -> float:
+    return float(np.max(np.abs(np.subtract(a, b, out=out), out=out)))
+
+
+def verify_sample_major(params, s0, t_end: float, steps: int, tol: float, seed=None):
+    """``verify_lax_representation`` on sample-major blocks: the (4, N) aux
+    stack read through its (N, 4) transpose, mu_cf and the shared buffer
+    (N, 8) each and the (q, p) rows (N, 2), fresh on each call.  The aux
+    flow and K(C) are looked up in ``operadic_lax`` on each call, so a test
+    that replaces them there replaces them here too."""
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not t_end / steps > 0:  # a step that underflows moves neither RK4 run
+        raise ValueError(f"step t_end / steps must be positive, got {t_end} / {steps}")
+    omega = s0.omega
+    ts = np.linspace(0.0, t_end, steps + 1)
+    generator = lax_generator(omega)
+    n = steps + 1
+    stack, mu_cf, buf, qp = np.empty((4, n)), np.empty((n, 8)), np.empty((n, 8)), np.empty((n, 2))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        aux = operadic_lax.aux_exact_flow(aux_algebraic(s0), omega, ts)
+        stack[0], stack[1], stack[2], stack[3] = aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus
+        rows = stack.T
+        k, scale = operadic_lax._k_matrix(params.values)
+        _times_k_sample_major(rows, k, scale, out=mu_cf)
+        norms = _norm(mu_cf, axis=1)
+        # past an infinite first norm the gaps are inf - inf; that drift is infinite
+        norm_drift = _max_gap(norms, norms[0], norms) if math.isfinite(norms[0]) else math.inf
+        if not math.isfinite(norm_drift):
+            _require_finite_sample_major("closed_form", mu_cf, ts)
+
+        # the gap is taken in the run's rows, so its scan runs the RK4 again
+        gap = _max_gap(rk4_linear_rows_sample_major(generator, mu_cf[0], t_end, steps, buf),
+                       mu_cf, buf)
+        if not math.isfinite(gap):
+            mu_rk4 = rk4_linear_rows_sample_major(generator, mu_cf[0], t_end, steps)
+            _check_states_sample_major("closed_form_vs_rk4: ", mu_rk4, ts)
+
+        bracket = np.matmul(mu_cf, generator.T, out=buf)
+        # exactly d(mu)/dt, in mu_cf's place
+        dmu = _times_k_sample_major(rows, k @ aux_generator(omega), scale, out=mu_cf)
+        dmu -= bracket
+        lax_res = float(np.max(_norm(dmu, axis=1)))
+        if not math.isfinite(lax_res):
+            _require_finite_sample_major("lax_equation_residual", dmu, ts)
+
+        rk4_linear_rows_sample_major(hamilton_generator(omega), [s0.q, s0.p], t_end, steps, qp)
+        energies = energy(qp[:, 0], qp[:, 1], omega)
+        h_drift = _max_gap(energies, energies[0], energies)
+        if not math.isfinite(h_drift):
+            _check_states_sample_major("hamiltonian_drift: ", qp, ts)
+
+    checks = tuple(
+        CheckResult(name, value, tol, value <= tol)
+        for name, value in [
+            ("closed_form_vs_rk4", gap),
+            ("lax_equation_residual", lax_res),
+            ("mu_norm_drift", norm_drift),
+            ("hamiltonian_drift", h_drift),
+        ]
+    )
+    config = {
+        "omega": omega,
+        "q0": s0.q,
+        "p0": s0.p,
+        "c": [float(x) for x in params.values],
+        "t_end": float(t_end),
+        "steps": int(steps),
+        "tol": float(tol),
+        "seed": seed,
+    }
+    return VerificationReport(checks, config)

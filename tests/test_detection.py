@@ -37,7 +37,7 @@ from operadlax import (
     operadic_lax,
     verify_lax_representation,
 )
-from reference_rhs import max_step_defect_ratio, misrotated_flow
+from reference_rhs import max_step_defect_ratio, misrotated_flow, verify_sample_major
 
 S0 = OscState(0.0, 2.0, 1.0)
 C = np.random.default_rng(0).uniform(-1.0, 1.0, 8)
@@ -79,11 +79,17 @@ MATRIX = {
 }
 
 
-def run(monkeypatch, mutant: str, horizon: str):
-    """The mutant's verify checks by name, and its step-defect ratio."""
+def patch(monkeypatch, mutant: str):
+    """Put the mutant's aux flow and K(C) in ``operadic_lax``."""
     flow, k_matrix = MUTANTS[mutant]
     monkeypatch.setattr(operadic_lax, "aux_exact_flow", flow)
     monkeypatch.setattr(operadic_lax, "_k_matrix", k_matrix)
+    return flow
+
+
+def run(monkeypatch, mutant: str, horizon: str):
+    """The mutant's verify checks by name, and its step-defect ratio."""
+    flow = patch(monkeypatch, mutant)
     t_end, steps = HORIZONS[horizon]
     report = verify_lax_representation(SolutionParams(C), S0, t_end, steps, TOL)
     return {c.name: c for c in report.checks}, max_step_defect_ratio(S0, C, t_end, steps, flow)
@@ -105,3 +111,12 @@ def test_short_horizon_rate_mutant_passes_by_a_margin(monkeypatch):
     checks, ratio = run(monkeypatch, "d-rate-3.0003", "short")
     assert 1e5 * true_gap < checks[GAP].max_residual <= TOL / 2
     assert ratio >= 1e3
+
+
+@pytest.mark.parametrize("horizon", HORIZONS)
+@pytest.mark.parametrize("mutant", MATRIX)
+def test_detection_reports_match_the_sample_major_verifier(monkeypatch, mutant, horizon):
+    # the mutants reach both verifiers through the same two names
+    patch(monkeypatch, mutant)
+    args = SolutionParams(C), S0, *HORIZONS[horizon], TOL
+    assert verify_lax_representation(*args).to_json() == verify_sample_major(*args).to_json()

@@ -13,7 +13,7 @@ from operadlax import (
     identity_op,
     linear_comb,
 )
-from operadlax.multilinear import _norm
+from operadlax.multilinear import _norm, _sample_norms
 
 
 def test_operation_stores_matrix_exactly():
@@ -233,6 +233,11 @@ def test_row_norms_of_eight_keep_numpy_bits(rows):
         got, want = _norm(rows_of, axis=1), np.linalg.norm(rows_of, axis=1)
         assert got.shape == want.shape == (rows,)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the same samples as (8, N) component rows: numpy's bits for the
+    # C-contiguous (N, 8) samples, the squares in the block given
+    want = np.linalg.norm(x, axis=1).view(np.uint64)
+    for got in (_sample_norms(np.ascontiguousarray(x.T)), _sample_norms(x.T, np.empty((8, rows)))):
+        np.testing.assert_array_equal(got.view(np.uint64), want)
 
 
 def test_row_norms_rescale_past_overflowing_squares():
@@ -245,4 +250,6 @@ def test_row_norms_rescale_past_overflowing_squares():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _norm(2.0**664 * rows, axis=1)
+            by_sample = _sample_norms(2.0**664 * np.ascontiguousarray(rows.T))
         np.testing.assert_allclose(got, 2.0**664 * _norm(rows, axis=1), rtol=1e-15)
+        assert by_sample.tobytes() == got.tobytes()

@@ -3,6 +3,7 @@ and the end-to-end verification pipeline."""
 
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -45,6 +46,7 @@ from reference_rhs import (
     lax_rhs_bracket,
     lax_rhs_explicit,
     misrotated_flow,
+    verify_sample_major,
 )
 
 CANONICAL = OscState(0.0, 2.0, 1.0)
@@ -531,20 +533,20 @@ def test_verify_zero_params_mu_checks_exact():
 
 def verify_reference(params, s0, t_end, steps):
     """The four max residuals of ``verify_lax_representation`` from fresh
-    arrays, every one scanned for non-finite rows by ``rk4_linear_path``
-    or left unscanned (finite inputs only)."""
+    (d, N) component rows, every one scanned for non-finite states by
+    ``rk4_linear_path`` or left unscanned (finite inputs only)."""
     omega = s0.omega
     ts = np.linspace(0.0, t_end, steps + 1)
     rows = operadic_lax._aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts))
     k, scale = operadic_lax._k_matrix(params.values)
-    mu_cf = operadic_lax._times_k(rows, k, scale)
-    _, mu_rk4 = rk4_linear_path(lax_generator(omega), mu_cf[0], t_end, steps)
-    dmu = (operadic_lax._times_k(rows, k @ aux_generator(omega), scale)
-           - mu_cf @ lax_generator(omega).T)
-    norms = operadic_lax._norm(mu_cf, axis=1)
+    mu_cf = operadic_lax._times_k(k, scale, rows)
+    _, mu_rk4 = rk4_linear_path(lax_generator(omega), mu_cf[:, 0], t_end, steps)
+    dmu = (operadic_lax._times_k(k @ aux_generator(omega), scale, rows)
+           - lax_generator(omega) @ mu_cf)
+    norms = operadic_lax._sample_norms(mu_cf)
     _, qp = rk4_linear_path(hamilton_generator(omega), [s0.q, s0.p], t_end, steps)
     energies = energy(qp[:, 0], qp[:, 1], omega)
-    return [np.max(np.abs(mu_rk4 - mu_cf)), np.max(operadic_lax._norm(dmu, axis=1)),
+    return [np.max(np.abs(mu_rk4.T - mu_cf)), np.max(operadic_lax._sample_norms(dmu)),
             np.max(np.abs(norms - norms[0])), np.max(np.abs(energies - energies[0]))]
 
 
@@ -757,6 +759,56 @@ def test_verify_keeps_no_block_above_the_cap(monkeypatch):
     kept, after_large, after_small, got = in_fresh_thread(calls)
     assert after_large is kept and after_small is kept and kept.nbytes <= 8 * 22 * 200
     assert got == want
+
+
+def report_text(verify, args):
+    """The report's JSON text, or the error's type and message."""
+    try:
+        return verify(*args).to_json()
+    except (IntegrationError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def benchmark_like(seed, count):
+    """Verify arguments drawn as the benchmark draws its configs: omega in
+    [0.1, 30], amplitude sqrt(2H) in [1e-2, 1e2] at any phase, 1 to 10
+    periods, C in [-1, 1]^8, here with steps log-uniform in [2, 1e4]."""
+    rng = random.Random(seed)
+    configs = []
+    for _ in range(count):
+        omega = 0.1 * 300.0 ** rng.random()
+        amplitude, phase = 1e-2 * 1e4 ** rng.random(), rng.uniform(0.0, 2.0 * math.pi)
+        s0 = OscState(amplitude * math.sin(phase) / omega, amplitude * math.cos(phase), omega)
+        c = SolutionParams([rng.uniform(-1.0, 1.0) for _ in range(8)])
+        t_end = rng.randint(1, 10) * 2.0 * math.pi / omega
+        configs.append((c, s0, t_end, round(2 * 5000 ** rng.random()), 1e-7, seed))
+    return configs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_reports_match_the_sample_major_verifier(seed):
+    for args in benchmark_like(seed, 10):
+        assert report_text(verify_lax_representation, args) == report_text(
+            verify_sample_major, args)
+
+
+def test_verify_overflows_match_the_sample_major_verifier():
+    # large C and p0 reach the rescaled norms, Infinity and every error path
+    rng = np.random.default_rng(30)
+    configs = [OVERFLOWING_DERIVATIVE, NON_FINITE_GAP, OVERFLOWING_ENERGY,
+               (SolutionParams(np.zeros(8)), OscState(0.0, 2.0, 1000.0), 1e3, 20, 1e-7)]
+    for amplitude in (1e200, 1e300, 1.7e308):
+        for s0 in (CANONICAL, OscState(0.0, 1e30, 1.0), OscState(1e-3, 1e30, 1e3)):
+            c = SolutionParams(amplitude * rng.uniform(-1.0, 1.0, 8))
+            configs += [(c, s0, 2 * math.pi, 1000, 1e-7), (c, s0, 1e3, 20, 1e-7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        texts = [report_text(verify_lax_representation, args) for args in configs]
+        assert texts == [report_text(verify_sample_major, args) for args in configs]
+    assert any("Infinity" in text for text in texts)
+    stages = {text.split(":")[1].strip() for text in texts if text.startswith("Integration")}
+    assert stages == {"closed_form", "closed_form_vs_rk4", "lax_equation_residual",
+                      "hamiltonian_drift"}
 
 
 # Faults are counted in a fresh interpreter, warmed up by one cycle of the

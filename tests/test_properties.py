@@ -3,7 +3,9 @@ over omega in [1e-3, 1e3] and amplitudes across 200 decades, the aux seed
 against a 60-digit reference over amplitudes across 24 decades, the
 closed form's step defect over amplitudes across 12 decades,
 simulate's JSON table and verify's report against ``json.dumps`` for any
-finite doubles, and the CLI's exit contract under extreme flag values."""
+finite doubles, the CLI's exit contract under extreme flag values, and the
+component-major RK4 rows and products against their sample-major forms, bit
+for bit."""
 
 import contextlib
 import io
@@ -26,10 +28,14 @@ from operadlax import (  # noqa: E402
     SolutionParams,
     VerificationReport,
     aux_algebraic,
+    aux_generator,
     cli,
+    hamilton_generator,
     lax_generator,
+    operadic_lax,
     verify_lax_representation,
 )
+from operadlax.oscillator import _rk4_linear_rows  # noqa: E402
 from reference_rhs import (  # noqa: E402
     _explicit_rhs,
     assert_within_ulps,
@@ -37,6 +43,7 @@ from reference_rhs import (  # noqa: E402
     g_values,
     max_step_defect_ratio,
     misrotated_flow,
+    rk4_linear_rows_sample_major,
 )
 
 EPS = np.finfo(float).eps
@@ -231,3 +238,77 @@ def test_cli_keeps_its_exit_contract(tmp_path_factory, command, steps, values):
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith("error: ")
+
+
+# RK4 runs: the three generators the package integrates, over omega in
+# [1e-3, 1e3], and random ones of dims 1 to 8; step counts 1 to 5000, with
+# each 2^j - 1, 2^j and 2^j + 1 among them; steps h omega from 1e-4 to 1e3,
+# so that long runs overflow, and the steps at which the first to fifth rung
+# of the ladder of powers of Hamilton's P is the first to overflow
+def random_generator(d):
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=d * d, max_size=d * d)
+    return st.tuples(entries, st.floats(-4.0, 3.0).map(lambda x: 10.0 ** x)).map(
+        lambda e: (np.reshape(e[0], (d, d)), e[1]))
+
+
+def package_generator(make):
+    return st.tuples(omegas, st.floats(-4.0, 3.0)).map(
+        lambda x: (make(x[0]), 10.0 ** x[1] / x[0]))
+
+
+RUNG_STEPS = [1e80] + [(24.0 * 10.0 ** (231.0 / 2 ** (rung - 1))) ** 0.25 for rung in (1, 2, 3, 4)]
+runs = st.one_of(
+    package_generator(lax_generator),
+    package_generator(hamilton_generator),
+    package_generator(aux_generator),
+    st.integers(1, 8).flatmap(random_generator),
+    st.sampled_from(RUNG_STEPS).map(lambda h: (hamilton_generator(1.0), h)),
+)
+step_counts = st.one_of(
+    st.sampled_from([n for j in range(13) for n in (2**j - 1, 2**j, 2**j + 1) if 1 <= n <= 5000]),
+    st.integers(1, 5000),
+)
+
+
+@properties
+@given(run=runs, steps=step_counts, amplitude=st.floats(-300.0, 300.0), data=st.data())
+def test_rk4_component_rows_match_the_sample_major_rows(run, steps, amplitude, data):
+    a, h = run
+    y0 = 10.0 ** amplitude * np.array(data.draw(st.lists(units, min_size=len(a),
+                                                         max_size=len(a))))
+    want = rk4_linear_rows_sample_major(a, y0, h * steps, steps)
+    assert _rk4_linear_rows(a, y0, h * steps, steps).T.tobytes() == want.tobytes()
+    # into a block, as verify runs them: every entry is written
+    out = np.full((len(a), steps + 1), np.nan)
+    assert _rk4_linear_rows(a, y0, h * steps, steps, out) is out
+    assert out.T.tobytes() == want.tobytes()
+
+
+def test_products_keep_their_bits_in_either_orientation():
+    """The component-major layout assumes that BLAS rounds a product the same
+    way whichever operand is the long one and however it is laid out:
+    K @ X is (X.T @ K.T).T, E @ Y is (Y.T @ E.T).T, and each product of the
+    RK4 ladder, P^s on a block of samples inside a wider array, is the same
+    in both orientations.  numpy's OpenBLAS sums each entry's short inner
+    product in one order either way.
+    A numpy or OpenBLAS upgrade that breaks this moves the bytes of verify's
+    report and of simulate's lax_residual column."""
+    rng = np.random.default_rng(2026)
+    k, _ = operadic_lax._k_matrix(rng.uniform(-1.0, 1.0, 8))
+    e = operadic_lax._propagator(1.7, 0.01)
+    ladder = rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-8, 8, (8, 8))
+    for n in (1, 2, 3, 7, 8, 9, 63, 64, 65, 1000, 4097):
+        # columns of every scale, so that any change of order shows
+        for short, left in ((4, k), (4, k @ aux_generator(1.7)), (8, e), (8, ladder),
+                            (2, hamilton_generator(3.0)), (4, aux_generator(0.3))):
+            x = rng.standard_normal((short, n)) * 10.0 ** rng.uniform(-150, 150, n)
+            want = (np.ascontiguousarray(x.T) @ left.T).T.tobytes()
+            assert (left @ x).tobytes() == (x.T @ left.T).T.tobytes() == want
+            # the rows read through the transpose of C-ordered samples
+            assert (left @ np.asfortranarray(x)).tobytes() == want
+        # a block of samples inside a wider run, into the block beside it
+        rows = rng.standard_normal((8, 2 * n + 1))
+        samples = np.ascontiguousarray(rows.T)
+        np.matmul(ladder, rows[:, 1 : n + 1], out=rows[:, n + 1 :])
+        np.matmul(samples[1 : n + 1], ladder.T, out=samples[n + 1 :])
+        assert rows.T.tobytes() == samples.tobytes()

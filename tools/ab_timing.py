@@ -19,9 +19,13 @@ A failed check or a byte difference stops the tool with exit code 1.
 Per round and copy, the figure is the mean request time.  The tool prints
 each copy's median over the rounds, with its quartiles, and the paired
 ratio A / B per round: its median, its quartiles and the number of rounds
-B won (ratio above 1).  Pairing within a round takes out the machine's
-drift, which moves two separate runs of one tree by more than many changes
-do (see ``tools/verify_timing.py``).
+B won (ratio above 1).  Then the same paired ratio for each request size
+on its own (the step count of ``verify`` and ``simulate``, the dim-max of
+``axioms``), from the time of that size's requests in the round: a change
+of layout or of per-sample work shows as a ratio that moves with N, a
+change of fixed cost as one that fades.  Pairing within a round takes out
+the machine's drift, which moves two separate runs of one tree by more
+than many changes do (see ``tools/verify_timing.py``).
 
 BLAS/OpenMP threads are pinned to 1 before numpy loads (``pin_threads``).
 """
@@ -90,23 +94,36 @@ class Kernel:
 
 def run(src, lib, requests, kernel):
     """Send the requests to one copy; returns each one's (code, stdout, file)
-    and the mean request time."""
-    outputs, busy = [], 0.0
+    and each one's time."""
+    outputs, times = [], []
     for req in requests:
         kernel.before()
         code, stdout, written, seconds = call(lib, req)
-        busy += seconds
+        times.append(seconds)
         kernel.busy += seconds
         try:
             workloads.check(lib, req, code, stdout)
         except workloads.CheckFailed as exc:
             raise SystemExit(f"error: {src} failed {req.argv}: {exc}") from None
         outputs.append((code, stdout, written))
-    return outputs, busy / len(requests)
+    return outputs, times
+
+
+def size(req) -> int:
+    """The request's size: its step count, or the dim-max of ``axioms``."""
+    return req.config.get("steps", req.config.get("dim_max"))
 
 
 def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def paired(means_a, means_b) -> str:
+    """The per-round ratios A / B: median, quartiles and B's wins."""
+    ratios = [x / y for x, y in zip(means_a, means_b)]
+    q1, q2, q3 = quartiles(ratios)
+    wins = sum(r > 1.0 for r in ratios)
+    return f"median {q2:.4f} (quartiles {q1:.4f}-{q3:.4f}); B won {wins}/{len(ratios)} rounds"
 
 
 def main():
@@ -125,6 +142,7 @@ def main():
     libs = load_tree(Path(args.a), "ab_a"), load_tree(Path(args.b), "ab_b")
     kernel = Kernel(args.workload)
     means = ([], [])
+    by_size = {}  # size: (A's, B's) time of that size's requests, per round
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         warm = workloads.Stream(args.workload, args.seed, workdir, warmup=True)
@@ -134,13 +152,18 @@ def main():
         stream = workloads.Stream(args.workload, args.seed, workdir)
         for k in range(args.rounds):
             requests = [stream.next() for _ in range(args.cycles * stream.cycle_length)]
-            outputs = [None, None]
+            outputs, times = [None, None], [None, None]
             for i in ((0, 1) if k % 2 == 0 else (1, 0)):
-                outputs[i], mean = run(srcs[i], libs[i], requests, kernel)
-                means[i].append(mean)
+                outputs[i], times[i] = run(srcs[i], libs[i], requests, kernel)
+                means[i].append(statistics.fmean(times[i]))
             for req, x, y in zip(requests, *outputs):
                 if x != y:
                     raise SystemExit(f"error: the trees print different bytes for {req.argv}")
+            for n in {size(req) for req in requests}:
+                sides = by_size.setdefault(n, ([], []))
+                for i in (0, 1):
+                    sides[i].append(sum(t for req, t in zip(requests, times[i])
+                                        if size(req) == n))
 
     print(f"workload {args.workload}, seed {args.seed}: {args.rounds} rounds of "
           f"{args.cycles} cycles, {args.rounds * len(requests)} requests a side, "
@@ -149,11 +172,10 @@ def main():
         q1, q2, q3 = quartiles(side)
         print(f"{label} {src}: mean request {q2 * 1e3:.4f} ms "
               f"(quartiles {q1 * 1e3:.4f}-{q3 * 1e3:.4f}) median over rounds")
-    ratios = [x / y for x, y in zip(*means)]
-    q1, q2, q3 = quartiles(ratios)
-    wins = sum(r > 1.0 for r in ratios)
-    print(f"ratio A/B per round: median {q2:.4f} (quartiles {q1:.4f}-{q3:.4f}); "
-          f"B won {wins}/{len(ratios)} rounds")
+    print(f"ratio A/B per round: {paired(*means)}")
+    label = "steps" if args.workload != "axioms" else "dim-max"
+    for n in sorted(by_size):
+        print(f"ratio A/B at {label} {n}: {paired(*by_size[n])}")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ One ``verify`` request samples [0, t_end] at steps + 1 times and runs:
   the aux rates R a (R = ``aux_generator``), precomputed here;
 * ``rk4_mu``       - the RK4 run of mu under the Lax generator;
 * ``rk4_qp``       - the RK4 run of (q, p) under Hamilton's generator;
-* ``norms``        - ``step_defect`` of the sampled mu: one row norm of an
-  (N, 8) array, with the matrix product and difference beside it, the
-  same work as the Lax residual and norm drift checks;
+* ``norms``        - ``step_defect`` of the sampled mu: one norm per
+  sample of (8, N) component rows, with the matrix product and difference
+  beside it, the same work as the Lax residual and norm drift checks;
 * ``total``        - the whole ``verify_lax_representation`` call;
 * ``report``       - the report's JSON text, as ``cmd_verify`` prints it:
   ``to_json``, or ``json.dumps(to_dict(), indent=2)`` on trees without it;
