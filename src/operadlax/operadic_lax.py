@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,27 +363,16 @@ def _max_gap(a, b, out) -> float:
     return float(np.max(np.abs(np.subtract(a, b, out=out), out=out)))
 
 
-# verify's request-sized blocks, kept per thread between calls
-_WORKSPACE = threading.local()
-_WORKSPACE_BYTES = 32 << 20  # the most a thread keeps: about 1.9e5 steps
-
-
 def _verify_blocks(n: int) -> tuple[np.ndarray, ...]:
     """C-contiguous float blocks of component rows for an n-sample verify
     call: the (4, n) aux stack, mu_cf and the shared buffer, (8, n) each,
-    and the (2, n) (q, p) rows.  They are views of this thread's workspace,
-    grown to fit, unless they exceed ``_WORKSPACE_BYTES``: then they are
-    fresh and the workspace stays as it is."""
-    size = 22 * n
-    if 8 * size > _WORKSPACE_BYTES:
-        flat = np.empty(size)
-    elif getattr(_WORKSPACE, "flat", np.empty(0)).size >= size:
-        flat = _WORKSPACE.flat
-    else:
-        _WORKSPACE.flat = None  # the old block is freed before its successor
-        flat = _WORKSPACE.flat = np.empty(size)
+    and the (2, n) (q, p) rows, all views of one fresh allocation.  One,
+    not four: once glibc frees a block this large it raises its mmap and
+    trim thresholds to fit, so the next call's block comes from the heap
+    without mapping fresh pages (four separate blocks fault far more)."""
+    flat = np.empty(22 * n)
     return (flat[: 4 * n].reshape(4, n), flat[4 * n : 12 * n].reshape(8, n),
-            flat[12 * n : 20 * n].reshape(8, n), flat[20 * n : size].reshape(2, n))
+            flat[12 * n : 20 * n].reshape(8, n), flat[20 * n :].reshape(2, n))
 
 
 def verify_lax_representation(
@@ -418,13 +406,7 @@ def verify_lax_representation(
     aux stack, the (8, N) closed form and shared buffer, and the (2, N)
     (q, p) rows.  So each product (K(C) @ stack, the RK4 ladder's
     P^s @ rows, the bracket A @ mu) runs along the long sample axis, and
-    the norms and energies read contiguous rows.  The four blocks are
-    views of a per-thread workspace that is kept between calls and grown to
-    fit, so a warm call does not map them afresh.  Blocks above 32 MiB
-    (about 1.9e5 steps) are fresh and the workspace keeps none of them.
-    The report holds plain floats, so no returned value aliases the
-    workspace.  A one-shot process gains nothing: its first call maps
-    every page.
+    the norms and energies read contiguous rows.
 
     A step t_end / steps that underflows to 0 raises ``ValueError``.
     Each check passes iff its max residual is <= tol.  A non-finite closed

@@ -57,7 +57,6 @@ __all__ = [
     "AuxValues",
     "IntegrationError",
     "energy",
-    "hamiltonian",
     "hamilton_generator",
     "exact_path",
     "exact_flow",
@@ -125,10 +124,6 @@ class AuxValues:
 def energy(q, p, omega: float):
     """H = (p^2 + omega^2 q^2) / 2; q and p may be arrays."""
     return 0.5 * (p * p + omega * omega * q * q)
-
-
-def hamiltonian(s: OscState) -> float:
-    return energy(s.q, s.p, s.omega)
 
 
 def exact_path(s0: OscState, ts):

@@ -26,12 +26,17 @@ over the benchmark's 15 step counts (log-spaced midpoints of [1e3, 1e4];
 best of the repeated cycles); one ``minflt`` line per step count, the minor
 page faults per warm ``verify_lax_representation`` call (``getrusage`` over
 40 calls after 5 warm-up calls, step counts in rising order); and
-``retained_bytes``, what the calling thread's verify workspace holds after
-them (``n/a`` on trees that have none).  The oscillator is the middle of
-the benchmark's draw: omega 1.7, five periods, amplitude about 1.  Apart
-from that last line it uses public names only, so it also runs on older
-trees that have ``step_defect`` and ``closed_form_path(aux, c)``, and
-shows where the time goes before and after a change:
+``minflt_stream``, the minor page faults per request over the benchmark's
+own ``verify`` stream (``bench/workloads.py``, seeds 1-3: one warm cycle
+of 15 requests, then 30 counted, all in-process through ``cli.main``).
+Once earlier calls have raised glibc's thresholds, the per-size lines read
+0 for every block layout; the stream's shuffled sizes still tell layouts
+apart, so it is counted first, before any other call.  The
+oscillator is the middle of the benchmark's draw: omega 1.7, five
+periods, amplitude about 1.  The tool uses public names only, so it also
+runs on older trees that have ``step_defect`` and
+``closed_form_path(aux, c)``, and shows where the time goes before and
+after a change:
 
     PYTHONPATH=src python tools/verify_timing.py [--repeat N]
 
@@ -51,10 +56,12 @@ import json
 import math
 import os
 import resource
+import sys
 import tempfile
 import time
 import timeit
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 
@@ -69,11 +76,13 @@ from operadlax import (
     closed_form_path,
     hamilton_generator,
     lax_generator,
-    operadic_lax,
     rk4_linear_path,
     step_defect,
     verify_lax_representation,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 STEPS = (1_000, 10_000)
 LOOP_SECONDS = 2e-2  # each run loops a call this long
@@ -81,6 +90,7 @@ LOOP_SECONDS = 2e-2  # each run loops a call this long
 # on a log scale
 REQUEST_STEPS = [round(1_000 * 10 ** ((i + 0.5) / 15)) for i in range(15)]
 OMEGA, Q0, P0, C_SEED = 1.7, 0.4, -1.2, 15
+STREAM_SEEDS, STREAM_CYCLES = (1, 2, 3), 2  # counted cycles per seed, after a warm one
 
 
 def best_us(fn, repeat: int) -> float:
@@ -165,19 +175,30 @@ def minor_faults(steps: int) -> float:
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40
 
 
-def retained_bytes() -> str:
-    """The bytes of the calling thread's verify workspace, if the tree has one."""
-    workspace = getattr(operadic_lax, "_WORKSPACE", None)
-    if workspace is None:
-        return "n/a"
-    flat = getattr(workspace, "flat", None)
-    return str(0 if flat is None else flat.nbytes)
+def stream_faults() -> float:
+    """Minor page faults per request over the benchmark's verify stream: per
+    seed, one warm cycle, then ``STREAM_CYCLES`` counted cycles."""
+    faults = requests = 0
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for seed in STREAM_SEEDS:
+            stream = workloads.Stream("verify", seed, Path(tmp))
+            for cycle in range(1 + STREAM_CYCLES):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                for _ in range(stream.cycle_length):
+                    cli.main(stream.next().argv)
+                if cycle:
+                    faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                    requests += stream.cycle_length
+    return faults / requests
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args()
+    # first: a 1e4-step block freed by a timed call would raise glibc's
+    # thresholds and hide the faults of the stream's sizes
+    per_request = stream_faults()
     print(f"stage steps best_us (best of {args.repeat})")
     for steps in STEPS:
         for name, fn in stages(steps).items():
@@ -188,7 +209,8 @@ def main():
     print("minflt steps per_warm_call")
     for steps in REQUEST_STEPS:
         print(f"minflt {steps} {minor_faults(steps):.1f}")
-    print(f"retained_bytes {retained_bytes()}")
+    print(f"minflt_stream {per_request:.1f} (per request, "
+          f"{len(STREAM_SEEDS) * STREAM_CYCLES} verify cycles)")
 
 
 if __name__ == "__main__":
