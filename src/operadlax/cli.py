@@ -291,11 +291,6 @@ def _table_chunks(table: np.ndarray, fmt: str) -> Iterator[bytes]:
         yield from format_json(table, CSV_HEADER.split(","))
 
 
-def _format_table(table: np.ndarray, fmt: str) -> str:
-    """The text ``simulate`` writes for the finite sample table, whole."""
-    return b"".join(_table_chunks(table, fmt)).decode("ascii")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _run_config(args.config, args)
     table = np.column_stack(_simulate_samples(cfg, args.integrator))

@@ -187,43 +187,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte, from
-        one template of the report schema: finite floats (``np.float64`` too)
-        are written with ``float.__repr__``, as ``json`` writes them, and every
-        other scalar through ``json.dumps``.  The config must hold the keys
-        ``verify_lax_representation`` writes, in its order (ValueError
-        otherwise)."""
-        cfg = self.config
-        if tuple(cfg) != _CONFIG_KEYS:
-            raise ValueError(f"config keys {list(cfg)} are not {list(_CONFIG_KEYS)}")
-        checks = [_CHECK_JSON.format(json.dumps(c.name), _json_scalar(c.max_residual),
-                                     _json_scalar(c.tolerance), json.dumps(c.passed))
-                  for c in self.checks]
-        return _REPORT_JSON.format(
-            _json_list(checks, 2), _json_scalar(cfg["omega"]), _json_scalar(cfg["q0"]),
-            _json_scalar(cfg["p0"]), _json_list(map(_json_scalar, cfg["c"]), 4),
-            _json_scalar(cfg["t_end"]), _json_scalar(cfg["steps"]),
-            _json_scalar(cfg["tol"]), _json_scalar(cfg["seed"]))
-
-
-# the report's text as json.dumps(..., indent=2) lays it out
-_CONFIG_KEYS = ("omega", "q0", "p0", "c", "t_end", "steps", "tol", "seed")
-_CHECK_JSON = ('{{\n      "name": {},\n      "max_residual": {},\n'
-               '      "tolerance": {},\n      "pass": {}\n    }}')
-_REPORT_JSON = ('{{\n  "checks": {},\n  "config": {{\n    "omega": {},\n    "q0": {},\n'
-                '    "p0": {},\n    "c": {},\n    "t_end": {},\n    "steps": {},\n'
-                '    "tol": {},\n    "seed": {}\n  }}\n}}\n')
-
-
-def _json_scalar(x) -> str:
-    return float.__repr__(x) if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
-
-
-def _json_list(items, depth: int) -> str:
-    """A list, at ``depth`` spaces, of items already laid out one level deeper."""
-    pad = "\n" + " " * (depth + 2)
-    body = ("," + pad).join(items)
-    return f"[{pad}{body}\n{' ' * depth}]" if body else "[]"
+        """The report as indented JSON text, as the CLI prints it."""
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def lax_rhs_index(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -480,5 +445,8 @@ def verify_lax_representation(
         "tol": float(tol),
         "seed": seed,
     }
+    # numpy scalars echo as the Python numbers they hold (np.float64 keeps its
+    # bits), which json writes
+    config = {k: v.item() if isinstance(v, np.generic) else v for k, v in config.items()}
     return VerificationReport(checks, config)
 

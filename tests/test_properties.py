@@ -2,10 +2,10 @@
 over omega in [1e-3, 1e3] and amplitudes across 200 decades, the aux seed
 against a 60-digit reference over amplitudes across 24 decades, the
 closed form's step defect over amplitudes across 12 decades,
-simulate's JSON table and verify's report against ``json.dumps`` for any
-finite doubles, the CLI's exit contract under extreme flag values, and the
-component-major RK4 rows and products against their sample-major forms, bit
-for bit."""
+simulate's JSON table against ``json.dumps`` for any finite doubles,
+verify's report read back from its JSON text bit for bit, the CLI's exit
+contract under extreme flag values, and the component-major RK4 rows and
+products against their sample-major forms, bit for bit."""
 
 import contextlib
 import io
@@ -125,7 +125,8 @@ def test_json_table_matches_json_dumps(values):
     table = np.array(values).reshape(-1, 17)
     names = cli.CSV_HEADER.split(",")
     rows = [dict(zip(names, row)) for row in table.tolist()]
-    assert cli._format_table(table, "json") == json.dumps(rows, indent=2) + "\n"
+    text = b"".join(cli._table_chunks(table, "json")).decode("ascii")
+    assert text == json.dumps(rows, indent=2) + "\n"
 
 
 # report values: signed zeros, the least subnormal and the largest double,
@@ -133,38 +134,68 @@ def test_json_table_matches_json_dumps(values):
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 report_floats = st.one_of(st.sampled_from(EDGES + [math.inf, -math.inf]), st.floats())
 report_reals = st.one_of(report_floats, report_floats.map(np.float64), st.integers())
-# the config's keys in the order verify writes them
-report_configs = st.tuples(
+VERIFY_KEYS = ("omega", "q0", "p0", "c", "t_end", "steps", "tol", "seed")
+verify_configs = st.tuples(
     report_reals, report_reals, report_reals, st.lists(report_floats, min_size=8, max_size=8),
     report_floats, st.integers(2), report_floats, st.none() | st.integers(0),
-).map(lambda values: dict(zip(("omega", "q0", "p0", "c", "t_end", "steps", "tol", "seed"),
-                              values)))
+).map(lambda values: dict(zip(VERIFY_KEYS, values)))
+# verify's config, and configs with one more key, one key fewer or their
+# keys in another order
+report_configs = st.one_of(
+    verify_configs,
+    st.tuples(verify_configs, st.text().filter(lambda k: k not in VERIFY_KEYS),
+              report_reals | st.none() | st.lists(report_floats))
+    .map(lambda t: {**t[0], t[1]: t[2]}),
+    st.tuples(verify_configs, st.sampled_from(VERIFY_KEYS))
+    .map(lambda t: {k: v for k, v in t[0].items() if k != t[1]}),
+    verify_configs.flatmap(lambda cfg: st.permutations(list(cfg.items())).map(dict)),
+)
 report_checks = st.lists(st.builds(CheckResult, st.sampled_from(
     ["closed_form_vs_rk4", "lax_equation_residual", "mu_norm_drift", "hamiltonian_drift"]),
     report_floats, report_floats, st.booleans()), max_size=4)
 
 
+def same_value(got, want):
+    """got, read back from JSON, holds want: the same keys in the same order,
+    floats bit for bit (any NaN as NaN), and ints, bools and None alike."""
+    if isinstance(want, dict):
+        return list(got) == list(want) and all(same_value(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(same_value, got, want))
+    if isinstance(want, float):
+        return type(got) is float and (math.isnan(got) and math.isnan(want)
+                                       or struct.pack("<d", got) == struct.pack("<d", want))
+    return type(got) is type(want) and got == want
+
+
 @properties
 @given(checks=report_checks, config=report_configs)
-def test_report_to_json_matches_json_dumps(checks, config):
+def test_report_json_reads_back_its_dict(checks, config):
     report = VerificationReport(tuple(checks), config)
-    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+    assert same_value(json.loads(report.to_json()), report.to_dict())
 
 
 @properties
 @given(state=st.tuples(*[st.one_of(st.sampled_from(EDGES[:4]), st.integers(-3, 3),
+                                   st.integers(-3, 3).map(np.int64),
                                    st.floats(-3.0, 3.0).map(np.float64))] * 2),
-       omega=st.one_of(st.integers(1, 30), omegas.map(np.float64)),
+       omega=st.one_of(st.integers(1, 30), st.integers(1, 30).map(np.int64),
+                       omegas.map(np.float64)),
        c=st.lists(st.one_of(st.sampled_from(EDGES[:4]), st.floats(-1.0, 1.0)),
                   min_size=8, max_size=8),
        tol=st.sampled_from([5e-324, 1e-7, 1.7976931348623157e308]),
-       seed=st.none() | st.integers(0, 2**40), steps=st.integers(2, 16))
+       seed=st.none() | st.integers(0, 2**40) | st.integers(0, 2**40).map(np.int64),
+       steps=st.integers(2, 16))
 def test_verify_prints_its_report_to_json(tmp_path_factory, state, omega, c, tol, seed, steps):
-    # library callers may pass ints and np.float64, and the report echoes them
+    # library callers may pass ints, np.int64 and np.float64, and the report
+    # echoes them: ints as ints, floats as the same double
     q0, p0 = state
     report = verify_lax_representation(SolutionParams(c), OscState(q0, p0, omega), 3.0, steps,
                                        tol, seed=seed)
-    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+    echo = json.loads(report.to_json())["config"]
+    for key, value in zip(("omega", "q0", "p0", "seed"), (omega, q0, p0, seed)):
+        assert same_value(echo[key], value if value is None or isinstance(value, float)
+                          else int(value))
     # the CLI reads floats, and prints what the library reports for them
     config = tmp_path_factory.getbasetemp() / "empty.json"
     config.write_text("{}")

@@ -176,7 +176,7 @@ NEGATIVE_ARGV = [
 ]
 
 
-# verify's report template at its edges: a signed zero and the least
+# verify with the report's JSON at its edges: a signed zero and the least
 # subnormal in c, and the least subnormal as tol (the "=" form, because
 # "-0.0" would read as a flag)
 TEMPLATE_ARGV = [

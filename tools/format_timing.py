@@ -3,11 +3,12 @@
 Times two paths, CSV and JSON, on the exact-integrator sample tables of a
 1000-step and a 20000-step ``simulate`` run (17 values per row):
 
-* ``text``: ``cli._format_table`` alone, the whole text in memory;
+* ``text``: the whole text in memory, the chunks of ``cli._table_chunks``
+  joined (or, on a tree without them, ``cli._format_table``);
 * ``file``: the table written to a new file as ``simulate --out`` writes
-  it, the chunks of ``cli._table_chunks`` one at a time into a binary
-  file, or, on a tree without them, ``_format_table``'s text into a text
-  file.  The file is removed after each run, untimed.
+  it, the chunks one at a time into a binary file, or, on a tree without
+  them, ``_format_table``'s text into a text file.  The file is removed
+  after each run, untimed.
 
 Each path runs once untimed per format first, which builds whatever the
 formatter builds on first use.  Each figure is the best of several runs.
@@ -46,6 +47,12 @@ def best_seconds(fn, after=lambda: None) -> float:
     return best
 
 
+def table_text(table, fmt):
+    if hasattr(cli, "_table_chunks"):
+        return b"".join(cli._table_chunks(table, fmt)).decode("ascii")
+    return cli._format_table(table, fmt)
+
+
 def write_table(table, fmt, path):
     if hasattr(cli, "_table_chunks"):
         with open(path, "wb") as fh:
@@ -60,7 +67,7 @@ def main():
     print(f"path format steps values best_ms ns_per_value (best of {REPEAT})")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.out")
-        paths = {"text": (lambda table, fmt: cli._format_table(table, fmt), lambda: None),
+        paths = {"text": (table_text, lambda: None),
                  "file": (lambda table, fmt: write_table(table, fmt, path),
                           lambda: os.unlink(path))}
         for steps in STEPS:
