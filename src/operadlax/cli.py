@@ -39,13 +39,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from ._g17 import format_json, format_rows
-from .multilinear import Operation, frobenius_norm
-from .operad import (
-    antisymmetry_residual,
-    composition_relation_residuals,
-    jacobi_residual,
-    unit_residual,
-)
+from .operad import axiom_suites
 from .operadic_lax import (
     COMPONENT_NAMES,
     SolutionParams,
@@ -188,47 +182,8 @@ def _parse_c(text: str) -> list[float]:
 # ---------------------------------------------------------------- axioms --
 
 
-def _random_operations(rng, dim_max: int, deg_max: int, size: int) -> list[Operation]:
-    """``size`` random operations on one random R^d.  All their coefficients
-    come from one normal draw, cut in order, which takes the same numbers as
-    one draw per operation."""
-    d = int(rng.integers(1, dim_max + 1))
-    degs = rng.integers(1, deg_max + 1, size=size).tolist()
-    flat = rng.standard_normal(sum(d ** (n + 1) for n in degs))
-    ops, start = [], 0
-    for n in degs:
-        stop = start + d ** (n + 1)
-        ops.append(Operation(d, n, flat[start:stop]))
-        start = stop
-    return ops
-
-
 def cmd_axioms(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    suites = {
-        "composition_relations": 0.0,
-        "unit": 0.0,
-        "antisymmetry": 0.0,
-        "jacobi": 0.0,
-    }
-    for _ in range(args.trials):
-        h, f, g = _random_operations(rng, args.dim_max, args.deg_max, 3)
-        scale = 1.0 + frobenius_norm(h) * frobenius_norm(f) * frobenius_norm(g)
-        # dividing by a positive scale keeps the order, so the grid's worst
-        # residual scores the same bits as the worst of the scaled ones
-        grid = composition_relation_residuals(h, f, g)
-        suites["composition_relations"] = max(suites["composition_relations"], max(grid) / scale)
-        suites["jacobi"] = max(suites["jacobi"], jacobi_residual(f, g, h) / scale)
-
-        (u,) = _random_operations(rng, args.dim_max, args.deg_max, 1)
-        suites["unit"] = max(suites["unit"], unit_residual(u) / (1.0 + frobenius_norm(u)))
-
-        # a third operation is drawn, and unused, to keep the seeded stream
-        a, b = _random_operations(rng, args.dim_max, args.deg_max, 3)[:2]
-        suites["antisymmetry"] = max(
-            suites["antisymmetry"],
-            antisymmetry_residual(a, b) / (1.0 + frobenius_norm(a) * frobenius_norm(b)),
-        )
+    suites = axiom_suites(args.trials, args.dim_max, args.deg_max, args.seed)
     ok = True
     for name, worst in suites.items():
         passed = worst <= args.tol

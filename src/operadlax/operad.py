@@ -39,6 +39,13 @@ and checks finiteness once, on its result or on each residual before the
 norm: every operand entry multiplies into some output entry and
 inf * 0 is NaN, so a non-finite intermediate always reaches that final
 tensor.
+
+``axiom_suites`` runs the ``axioms`` command's seeded trials on the same
+private helpers, one per suite, that the public residual functions call:
+``_relation_residuals`` with ``_residual_norms``, ``_jacobi``, ``_unit``
+and ``_antisymmetry``.  Its operands stay raw flattened arrays, drawn by
+``_draw`` and each checked finite once, so a trial builds no
+``Operation``.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ __all__ = [
     "unit_residual",
     "antisymmetry_residual",
     "jacobi_residual",
+    "axiom_suites",
 ]
 
 # index plans, built on first use and kept: slot rows per (d, degree),
@@ -275,6 +283,22 @@ def _jacobi(f: np.ndarray, g: np.ndarray, h: np.ndarray, d: int, fm: int, gm: in
     return terms[0] + terms[1] + terms[2]
 
 
+def _unit(x: np.ndarray, d: int, m: int) -> float:
+    """The unit-law residual of the flattened degree-m tensor x."""
+    ident = np.eye(d).reshape(1, -1)
+    composed = np.concatenate((_compose(ident, x, d, 1, m)[0], _compose(x, ident, d, m, 1)[0]))
+    return max(_residual_norms(composed - x))
+
+
+def _antisymmetry(x: np.ndarray, y: np.ndarray, d: int, m: int, n: int) -> float:
+    """The graded-antisymmetry residual of the flattened degree-m x and
+    degree-n y."""
+    s = _sign((m - 1) * (n - 1))
+    fg, gf = _total(_rows(x, d, m), y, d, m, n), _total(_rows(y, d, n), x, d, n, m)
+    res = _graded_difference(fg, gf, s) + s * _graded_difference(gf, fg, s)
+    return _residual_norms(res.reshape(1, -1))[0]
+
+
 def _residual_norms(res: np.ndarray) -> list[float]:
     """``float(_norm(r))`` for each row r of ``res`` after its finite check:
     a row's dot product with itself is finite only if its entries are, and
@@ -385,23 +409,17 @@ def composition_relation_residuals(h: Operation, f: Operation, g: Operation) -> 
 
 def unit_residual(f: Operation) -> float:
     """max(||id o_0 f - f||, ||f o_i id - f|| for all i); exactly 0 here."""
-    d, x, ident = f.dim, _flat(f), np.eye(f.dim).reshape(1, -1)
     # compositions with the identity are exact, so nothing here can overflow
-    composed = np.concatenate((_compose(ident, x, d, 1, f.degree)[0],
-                               _compose(x, ident, d, f.degree, 1)[0]))
-    return max(_residual_norms(composed - x))
+    return _unit(_flat(f), f.dim, f.degree)
 
 
 def antisymmetry_residual(f: Operation, g: Operation) -> float:
     """Frobenius norm of [f, g] + (-1)^(|f||g|) [g, f]: 0.0 for any finite
     operands, rounding being sign-symmetric, so it cannot catch a dropped sign
     (``jacobi_residual`` and test_kernel_residuals_vanish_exactly_on_integers do)."""
-    d, m, n, x, y = _dim(f, g), f.degree, g.degree, _flat(f), _flat(g)
-    s = _sign(f.reduced_degree * g.reduced_degree)
+    d = _dim(f, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        fg, gf = _total(_rows(x, d, m), y, d, m, n), _total(_rows(y, d, n), x, d, n, m)
-        res = _graded_difference(fg, gf, s) + s * _graded_difference(gf, fg, s)
-        return _residual_norms(res.reshape(1, -1))[0]
+        return _antisymmetry(_flat(f), _flat(g), d, f.degree, g.degree)
 
 
 def jacobi_residual(f: Operation, g: Operation, h: Operation) -> float:
@@ -415,3 +433,60 @@ def jacobi_residual(f: Operation, g: Operation, h: Operation) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         res = _jacobi(_flat(f), _flat(g), _flat(h), d, f.degree, g.degree, h.degree)
         return _residual_norms(res.reshape(1, -1))[0]
+
+
+def _draw(rng: np.random.Generator, dim_max: int, deg_max: int,
+          size: int) -> tuple[int, list[int], list[np.ndarray]]:
+    """``size`` random operations on one random R^d, as (d, degrees,
+    flattened coefficients), each (1, d^(n+1)) and checked finite.  All
+    their coefficients come from one normal draw, cut in order, which
+    takes the same numbers as one draw per operation."""
+    d = int(rng.integers(1, dim_max + 1))
+    degs = rng.integers(1, deg_max + 1, size=size).tolist()
+    flat = rng.standard_normal(sum(d ** (n + 1) for n in degs))
+    pieces, start = [], 0
+    for n in degs:
+        stop = start + d ** (n + 1)
+        pieces.append(_check_finite(flat[start:stop].reshape(1, -1)))
+        start = stop
+    return d, degs, pieces
+
+
+def axiom_suites(trials: int, dim_max: int, deg_max: int, seed: int) -> dict[str, float]:
+    """The worst scaled residual of each axiom suite over ``trials`` seeded
+    random trials, in the order ``composition_relations``, ``unit``,
+    ``antisymmetry``, ``jacobi``.
+
+    A trial draws, from ``np.random.default_rng(seed)``, a triple (h, f, g)
+    on one random R^d, d in 1..dim_max, degrees in 1..deg_max, then one
+    operation u, then a group of three of which the first two (a, b) are
+    used.  It scores the relation grid and the Jacobi identity of the triple
+    over ``1 + |h| |f| |g|``, the unit laws of u over ``1 + |u|`` and the
+    antisymmetry of (a, b) over ``1 + |a| |b|``, with Frobenius norms.
+    """
+    for name, value in (("trials", trials), ("dim_max", dim_max), ("deg_max", deg_max)):
+        if not (_is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    rng = np.random.default_rng(seed)
+    relations = unit = antisymmetry = jacobi = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(trials):
+            d, (hm, fm, gm), (h, f, g) = _draw(rng, dim_max, deg_max, 3)
+            scale = 1.0 + float(_norm(h)) * float(_norm(f)) * float(_norm(g))
+            # dividing by a positive scale keeps the order, so the grid's worst
+            # residual scores the same bits as the worst of the scaled ones
+            worst = max(norm for res in _relation_residuals(h, f, g, d, hm, fm, gm)
+                        for norm in _residual_norms(res))
+            relations = max(relations, worst / scale)
+            res = _jacobi(f, g, h, d, fm, gm, hm)
+            jacobi = max(jacobi, _residual_norms(res.reshape(1, -1))[0] / scale)
+
+            d, (um,), (u,) = _draw(rng, dim_max, deg_max, 1)
+            unit = max(unit, _unit(u, d, um) / (1.0 + float(_norm(u))))
+
+            # a third operation is drawn, and unused, to keep the seeded stream
+            d, (am, bm, _), (a, b, _) = _draw(rng, dim_max, deg_max, 3)
+            antisymmetry = max(antisymmetry, _antisymmetry(a, b, d, am, bm)
+                               / (1.0 + float(_norm(a)) * float(_norm(b))))
+    return {"composition_relations": relations, "unit": unit,
+            "antisymmetry": antisymmetry, "jacobi": jacobi}

@@ -101,6 +101,12 @@ class OscState:
     omega: float
 
     def __post_init__(self):
+        # a numpy scalar field is kept as the Python number it holds: an
+        # np.int64 product wraps, where a Python int's stays exact
+        for name in ("q", "p", "omega"):
+            value = getattr(self, name)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
         if not (math.isfinite(self.q) and math.isfinite(self.p)):
             raise ValueError(f"non-finite state (q, p) = ({self.q}, {self.p})")
         _check_omega(self.omega)

@@ -30,7 +30,12 @@ that the tests can compare the generators against them.
   and the verifier as they ran before every per-sample block became (d, N)
   component rows: sample-major (N, d) arrays, each product ys @ P^T, each
   norm numpy's own over rows of eight.  The package's component-major
-  routes are held to them byte for byte.
+  routes are held to them byte for byte;
+* ``random_operations`` and ``axiom_suites_reference`` - the ``axioms``
+  trials as the CLI ran them before ``operad.axiom_suites``: every draw
+  cut into ``Operation(...)`` calls, every suite scored through its public
+  residual function and ``frobenius_norm``.  ``axiom_suites`` is held to
+  them bit for bit.
 """
 
 import math
@@ -50,15 +55,20 @@ from operadlax import (
     aux_algebraic,
     aux_exact_flow,
     aux_generator,
+    antisymmetry_residual,
     bracket,
     closed_form_path,
+    composition_relation_residuals,
     energy,
+    frobenius_norm,
     hamilton_generator,
+    jacobi_residual,
     lax_generator,
     lax_rhs_index,
     m_matrix,
     operadic_lax,
     step_defect,
+    unit_residual,
 )
 from operadlax.multilinear import _norm
 from operadlax.oscillator import _check_omega
@@ -362,3 +372,47 @@ def verify_sample_major(params, s0, t_end: float, steps: int, tol: float, seed=N
         "seed": seed,
     }
     return VerificationReport(checks, config)
+
+
+def random_operations(rng, dim_max: int, deg_max: int, size: int) -> list[Operation]:
+    """``size`` random operations on one random R^d.  All their coefficients
+    come from one normal draw, cut in order, which takes the same numbers as
+    one draw per operation."""
+    d = int(rng.integers(1, dim_max + 1))
+    degs = rng.integers(1, deg_max + 1, size=size).tolist()
+    flat = rng.standard_normal(sum(d ** (n + 1) for n in degs))
+    ops, start = [], 0
+    for n in degs:
+        stop = start + d ** (n + 1)
+        ops.append(Operation(d, n, flat[start:stop]))
+        start = stop
+    return ops
+
+
+def axiom_suites_reference(trials: int, dim_max: int, deg_max: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    suites = {
+        "composition_relations": 0.0,
+        "unit": 0.0,
+        "antisymmetry": 0.0,
+        "jacobi": 0.0,
+    }
+    for _ in range(trials):
+        h, f, g = random_operations(rng, dim_max, deg_max, 3)
+        scale = 1.0 + frobenius_norm(h) * frobenius_norm(f) * frobenius_norm(g)
+        # dividing by a positive scale keeps the order, so the grid's worst
+        # residual scores the same bits as the worst of the scaled ones
+        grid = composition_relation_residuals(h, f, g)
+        suites["composition_relations"] = max(suites["composition_relations"], max(grid) / scale)
+        suites["jacobi"] = max(suites["jacobi"], jacobi_residual(f, g, h) / scale)
+
+        (u,) = random_operations(rng, dim_max, deg_max, 1)
+        suites["unit"] = max(suites["unit"], unit_residual(u) / (1.0 + frobenius_norm(u)))
+
+        # a third operation is drawn, and unused, to keep the seeded stream
+        a, b = random_operations(rng, dim_max, deg_max, 3)[:2]
+        suites["antisymmetry"] = max(
+            suites["antisymmetry"],
+            antisymmetry_residual(a, b) / (1.0 + frobenius_norm(a) * frobenius_norm(b)),
+        )
+    return suites

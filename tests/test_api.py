@@ -51,7 +51,7 @@ def test_all_is_unique_resolvable_and_keeps_earlier_names():
         assert getattr(operadlax, name) is not None
     assert len(EARLIER_NAMES) == 30
     assert set(EARLIER_NAMES) <= set(names)
-    assert len(names) == 38
+    assert len(names) == 39
     for name in REMOVED_NAMES:
         assert name not in names
         assert not hasattr(operadlax, name)

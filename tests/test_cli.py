@@ -24,6 +24,7 @@ from operadlax import (
     energy,
     exact_flow,
     exact_path,
+    operad,
     step_defect,
 )
 
@@ -88,6 +89,18 @@ def test_axioms_fails_with_impossible_tol(capsys):
     assert "FAIL" in out
 
 
+def test_axioms_builds_no_operation_and_calls_no_public_residual(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("axioms called a public operation or residual")
+
+    monkeypatch.setattr(operadlax.Operation, "__post_init__", refuse)
+    for name in ("composition_relation_residuals", "jacobi_residual", "unit_residual",
+                 "antisymmetry_residual"):
+        monkeypatch.setattr(operad, name, refuse)
+    code, out, _ = run(capsys, ["axioms", "--trials", "5", "--dim-max", "3", "--seed", "3"])
+    assert code == 0 and out.count("PASS") == 4
+
+
 def random_operations_reference(rng, dim_max, deg_max, size=None):
     """The draw before it was grouped: one normal call per operation, and a
     scalar degree draw when size is None."""
@@ -100,20 +113,23 @@ def random_operations_reference(rng, dim_max, deg_max, size=None):
 @pytest.mark.parametrize("dim_max", [1, 2, 3])
 @pytest.mark.parametrize("deg_max", [1, 2, 3])
 def test_grouped_draw_takes_the_same_numbers(dim_max, deg_max):
-    # one trial's draws, twice over: a triple, a single operation (drawn
-    # with size 1, once with a scalar degree), and a triple of which two
-    # are kept; the stream must stand where it stood before
+    # one trial's draws in operad.axiom_suites, twice over, each a dim, the
+    # degrees and flattened (1, d^(n+1)) coefficients: a triple, a single
+    # operation (drawn with size 1, once with a scalar degree), and a triple
+    # of which two are kept; the stream must stand where it stood before
     calls = [(3, 3, None), (1, None, None), (3, 3, 2)] * 2
     for seed in range(100):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for size, want_size, kept in calls:
-            got = cli._random_operations(got_rng, dim_max, deg_max, size)[:kept]
+            d, degs, pieces = operad._draw(got_rng, dim_max, deg_max, size)
+            got = list(zip(degs, pieces))[:kept]
             want = random_operations_reference(want_rng, dim_max, deg_max, want_size)[:kept]
+            assert len(degs) == len(pieces) == size
             assert len(got) == len(want) == (kept or size)
-            for op, ref in zip(got, want):
-                assert (op.dim, op.degree) == (ref.dim, ref.degree)
-                assert op.coeffs.shape == ref.coeffs.shape
-                assert op.coeffs.tobytes() == ref.coeffs.tobytes()
+            for (n, piece), ref in zip(got, want):
+                assert (d, n) == (ref.dim, ref.degree)
+                assert piece.shape == (1, ref.coeffs.size)
+                assert piece.tobytes() == ref.coeffs.tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

@@ -561,3 +561,35 @@ def test_jacobi_identity_random_batch():
         h = random_op(rng, d, int(rng.integers(1, 4)))
         scale = 1.0 + frobenius_norm(f) * frobenius_norm(g) * frobenius_norm(h)
         assert jacobi_residual(f, g, h) <= 1e-12 * scale
+
+
+def test_axiom_suites_refuse_a_non_finite_draw(monkeypatch):
+    real_rng = np.random.default_rng
+
+    class InfiniteNormals:
+        """A seeded generator whose normal draws end in inf."""
+
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            return self.rng.integers(*args, **kwargs)
+
+        def standard_normal(self, size):
+            out = self.rng.standard_normal(size)
+            out[-1] = np.inf
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", InfiniteNormals)
+    rng = InfiniteNormals(0)
+    d = int(rng.integers(1, 3))
+    last = d ** (int(rng.integers(1, 4, size=3)[-1]) + 1) - 1  # g's last entry
+    with pytest.raises(ValueError, match=f"^non-finite coefficient at flat index {last}$"):
+        operad.axiom_suites(1, 2, 3, 0)
+
+
+@pytest.mark.parametrize("args", [(0, 2, 3, 0), (1, 0, 3, 0), (1, 2, 0, 0), (1.0, 2, 3, 0),
+                                  (1, 2, 3, -1)])
+def test_axiom_suites_refuse_bad_arguments(args):
+    with pytest.raises(ValueError):
+        operad.axiom_suites(*args)

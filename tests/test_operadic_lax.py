@@ -584,6 +584,16 @@ def test_verify_reports_an_overflowing_energy_drift():
     assert drift.max_residual == math.inf and not drift.passed
 
 
+def test_verify_reads_numpy_int_fields_as_their_python_ints():
+    # omega^2 = 1.6e19 overflows int64: the np.int64 state must not run on
+    # a wrapped generator
+    args = SolutionParams([0.1] * 8), 1e-9, 50, 1e-7
+    got = verify_lax_representation(args[0], OscState(np.int64(1), np.int64(2),
+                                                      np.int64(4 * 10**9)), *args[1:], seed=1)
+    want = verify_lax_representation(args[0], OscState(1, 2, 4 * 10**9), *args[1:], seed=1)
+    assert got.to_json() == want.to_json()
+
+
 def test_verify_single_parameter_canonical():
     rep = verify_lax_representation(
         params_unit(0), CANONICAL, 2 * math.pi, 10 ** 4, 1e-7

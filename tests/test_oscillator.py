@@ -73,6 +73,34 @@ def test_osc_state_validation():
             OscState(q, p, omega)
 
 
+# numpy-integer fields whose products overflow int64 (omega^2 q^2 is
+# 1.44e38): the state keeps them as Python ints, whose products stay exact
+WIDE_INT_STATE = (np.int64(3 * 10**9), np.int64(5), np.int64(4 * 10**9))
+
+
+def test_osc_state_keeps_numpy_scalars_as_python_numbers():
+    s = OscState(*WIDE_INT_STATE)
+    assert [type(x) for x in astuple(s)] == [int, int, int]
+    assert astuple(s) == (3 * 10**9, 5, 4 * 10**9)
+    x = np.float64(0.1) + np.float64(0.2)
+    s = OscState(x, -x, np.float64(1.5))
+    assert [type(v) for v in astuple(s)] == [float, float, float]
+    assert astuple(s) == (x, -x, 1.5)
+
+
+def test_numpy_int_state_seeds_the_aux_values_of_its_floats():
+    got = astuple(aux_algebraic(OscState(*WIDE_INT_STATE)))
+    want = astuple(aux_algebraic(OscState(3e9, 5.0, 4e9)))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_numpy_int_state_energy_is_the_float_states():
+    s = OscState(*WIDE_INT_STATE)
+    h = energy(s.q, s.p, s.omega)
+    assert h > 0
+    assert h == pytest.approx(energy(3e9, 5.0, 4e9), rel=4 * np.finfo(float).eps)
+
+
 def test_exact_flow_examples():
     s0 = OscState(1, 0, 1.0)
     assert exact_flow(s0, 0.0) == s0

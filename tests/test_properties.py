@@ -5,7 +5,8 @@ closed form's step defect over amplitudes across 12 decades,
 simulate's JSON table against ``json.dumps`` for any finite doubles,
 verify's report read back from its JSON text bit for bit, the CLI's exit
 contract under extreme flag values, and the component-major RK4 rows and
-products against their sample-major forms, bit for bit."""
+products against their sample-major forms, and the axiom suites against
+the trial loop that built an ``Operation`` per draw, bit for bit."""
 
 import contextlib
 import io
@@ -32,6 +33,7 @@ from operadlax import (  # noqa: E402
     cli,
     hamilton_generator,
     lax_generator,
+    operad,
     operadic_lax,
     verify_lax_representation,
 )
@@ -40,6 +42,7 @@ from reference_rhs import (  # noqa: E402
     _explicit_rhs,
     assert_within_ulps,
     aux_rhs,
+    axiom_suites_reference,
     g_values,
     max_step_defect_ratio,
     misrotated_flow,
@@ -343,3 +346,14 @@ def test_products_keep_their_bits_in_either_orientation():
         np.matmul(ladder, rows[:, 1 : n + 1], out=rows[:, n + 1 :])
         np.matmul(samples[1 : n + 1], ladder.T, out=samples[n + 1 :])
         assert rows.T.tobytes() == samples.tobytes()
+
+
+@properties
+@given(seed=st.integers(0, 2**63), trials=st.integers(1, 10), dim_max=st.integers(1, 3),
+       deg_max=st.integers(1, 3))
+def test_axiom_suites_score_the_operation_loops_bits(seed, trials, dim_max, deg_max):
+    got = operad.axiom_suites(trials, dim_max, deg_max, seed)
+    want = axiom_suites_reference(trials, dim_max, deg_max, seed)
+    assert list(got) == list(want)
+    assert all(type(value) is float for value in got.values())
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]

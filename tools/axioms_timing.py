@@ -3,12 +3,17 @@
 A trial of ``operadlax axioms`` runs four suites on random operations of
 one dimension d: the composition relations of a triple (h, f, g), the
 Jacobi identity of the same triple, the unit laws of one operation and
-graded antisymmetry of a pair.  This tool times each suite alone, the way
-``cli.cmd_axioms`` calls it, for every shape with d <= 3 and degrees <= 3,
-each figure the best of several runs of a 2 ms loop, in microseconds per
-call.  It then prints the
+graded antisymmetry of a pair.  This tool times each suite alone, through
+its public residual function on ``Operation`` arguments, for every shape
+with d <= 3 and degrees <= 3, each figure the best of several runs of a
+2 ms loop, in microseconds per call.  It then prints the
 mean cost per trial under the benchmark's request mix: every degree drawn
-from 1..3 and d from 1..dim-max, with dim-max 2 and 3 alternating.  A
+from 1..3 and d from 1..dim-max, with dim-max 2 and 3 alternating.  The
+``trial`` line beside that sum gives the same means for a whole trial as
+``axioms`` runs it: the best of N runs of ``operad.axiom_suites`` at the
+benchmark's shape (25 trials, deg-max 3) over fixed seeds, draws included,
+divided by the trials; on a tree without ``axiom_suites`` it reads
+``trial n/a``.  A
 ``relation_cell`` line, outside the trial's total, gives the same means
 for one public one-pair call ``composition_relation_residual(h, f, g, 0,
 0)`` per shape of the relation suite, which ``axioms`` does not run.  The
@@ -135,6 +140,21 @@ def request_ms(dim_max, repeat):
     return best / len(argvs) * 1e3
 
 
+def trial_us(dim_max, repeat):
+    """Best of ``repeat`` runs of ``operad.axiom_suites`` at the benchmark's
+    shape, once per seed, in microseconds per trial."""
+    seeds = [(25, dim_max, 3, seed) for seed in REQUEST_SEEDS]
+    for args in seeds:  # warm-up: index plans
+        operad.axiom_suites(*args)
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for args in seeds:
+            operad.axiom_suites(*args)
+        best = min(best, time.perf_counter() - start)
+    return best / sum(trials for trials, *_ in seeds) * 1e6
+
+
 def one_pass(table):
     for _, _, _, call in table:
         call()
@@ -173,6 +193,10 @@ def main():
         total = {dim_max: total[dim_max] + means[dim_max] for dim_max in (2, 3)}
         show(suite, means)
     show("all", total)
+    if hasattr(operad, "axiom_suites"):
+        show("trial", {dim_max: trial_us(dim_max, args.repeat) for dim_max in (2, 3)})
+    else:
+        print("trial n/a")
     show("relation_cell", {dim_max: mean("relation_cell", dim_max) for dim_max in (2, 3)})
     ms = {dim_max: request_ms(dim_max, args.repeat) for dim_max in (2, 3)}
     print(f"request_ms {ms[2]:.2f} {ms[3]:.2f} {(ms[2] + ms[3]) / 2:.2f}")

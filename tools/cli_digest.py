@@ -259,6 +259,10 @@ def main():
         path.write_text("{}")
         for k, argv in enumerate(TEMPLATE_ARGV):
             print(f"template-{k}", run([a.format(empty=path) for a in argv]))
+    # an axioms run that exits 1: at the least subnormal tol the relation
+    # and Jacobi suites fail on their rounding, unit and antisymmetry pass
+    print("axioms-fail", run(["axioms", "--trials", "25", "--dim-max", "3", "--deg-max", "3",
+                              "--seed", "7", "--tol", "5e-324"]))
 
 
 if __name__ == "__main__":
