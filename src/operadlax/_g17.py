@@ -352,10 +352,10 @@ def _format(table: np.ndarray, before: list[bytes], first: bytes, end: bytes,
     )
     # one working buffer for every block of the table
     buf = np.empty((block_rows * columns, width + WORDS), dtype=np.uint64)
-    flat = np.ascontiguousarray(table, dtype=np.float64).reshape(-1)
-    step = BLOCK_ROWS * columns
-    for i in range(0, flat.size, step):
-        chars = _block(flat[i:i + step], layout, tab, buf)
+    for i in range(0, rows, BLOCK_ROWS):
+        # a block at a time: a transposed table is never copied whole
+        flat = np.ascontiguousarray(table[i:i + BLOCK_ROWS], dtype=np.float64).reshape(-1)
+        chars = _block(flat, layout, tab, buf)
         if i == 0:  # the bytes kept before the first field hold ``first``
             chars[0, :8 * width + 1] = np.frombuffer(first.ljust(8 * width + 1, b"\0"),
                                                      dtype=np.uint8)

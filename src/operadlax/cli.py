@@ -6,7 +6,8 @@ Three subcommands:
   (composition relations, unit laws, graded antisymmetry, Jacobi);
 * ``simulate`` - sample a trajectory: oscillator state, auxiliary
   functions, the eight structure constants, and a Lax-equation residual
-  per row, written as CSV or JSON;
+  per row, written as CSV or JSON: the transpose of the library's
+  ``sample_rows`` block, formatted;
 * ``verify``   - run the end-to-end verification pipeline from a JSON
   config file and print the report as JSON.
 
@@ -34,32 +35,14 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._g17 import format_json, format_rows
 from .operad import axiom_suites
-from .operadic_lax import (
-    COMPONENT_NAMES,
-    SolutionParams,
-    closed_form_mu,
-    closed_form_path,
-    lax_generator,
-    step_defect,
-    verify_lax_representation,
-)
-from .oscillator import (
-    IntegrationError,
-    OscState,
-    aux_algebraic,
-    aux_exact_flow,
-    aux_generator,
-    energy,
-    exact_path,
-    hamilton_generator,
-    rk4_linear_path,
-)
+from .operadic_lax import COMPONENT_NAMES, SolutionParams, sample_rows, verify_lax_representation
+from .oscillator import IntegrationError, OscState
 
 __all__ = ["main", "RunConfig", "CSV_HEADER"]
 
@@ -196,36 +179,6 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- simulate --
 
 
-def _simulate_samples(cfg: RunConfig, integrator: str):
-    """Column arrays for the sample table, in header order."""
-    omega = cfg.omega
-    params = SolutionParams(cfg.resolved_c())
-    s0 = OscState(cfg.q0, cfg.p0, omega)
-    a0 = aux_algebraic(s0)
-    ts = np.linspace(0.0, cfg.t_end, cfg.steps + 1)
-
-    # the closed form and each RK4 run are (samples, d) views of contiguous
-    # (d, samples) component rows: .T hands the table its columns, uncopied
-    if integrator == "exact":
-        q, p = exact_path(s0, ts)
-        flow = aux_exact_flow(a0, omega, ts)
-        aux = astuple(flow)
-        mu = closed_form_path(flow, params.values)
-    else:
-        def rk4(generator, y0):
-            return rk4_linear_path(generator, y0, cfg.t_end, cfg.steps)[1]
-
-        q, p = rk4(hamilton_generator(omega), [cfg.q0, cfg.p0]).T
-        aux = rk4(aux_generator(omega), astuple(a0)).T
-        mu = rk4(lax_generator(omega), closed_form_mu(a0, params).values)
-
-    # overflow in derived columns is caught by the caller's finite-value scan
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = energy(q, p, omega)
-        resid = step_defect(mu, omega, cfg.t_end / cfg.steps)
-    return [ts, q, p, energies, *aux, *mu.T, resid]
-
-
 def _table_chunks(table: np.ndarray, fmt: str) -> Iterator[bytes]:
     """The finite sample table as CSV (``%.17g``) or as ``json.dumps(rows,
     indent=2)`` of one object per row, byte for byte, in ASCII chunks of
@@ -248,13 +201,11 @@ def _table_chunks(table: np.ndarray, fmt: str) -> Iterator[bytes]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _run_config(args.config, args)
-    table = np.column_stack(_simulate_samples(cfg, args.integrator))
-    if not np.isfinite(table).all():
-        bad = int(np.argmin(np.isfinite(table).all(axis=1)))  # the first bad sample
-        raise IntegrationError(f"non-finite value in sample {bad}")
+    s0 = OscState(cfg.q0, cfg.p0, cfg.omega)
+    rows = sample_rows(SolutionParams(cfg.resolved_c()), s0, cfg.t_end, cfg.steps, args.integrator)
 
     # each block is written as it is made: the text is never held whole
-    chunks = _table_chunks(table, cfg.format)
+    chunks = _table_chunks(rows.T, cfg.format)
     if cfg.out == "-":
         for chunk in chunks:
             sys.stdout.write(chunk.decode("ascii"))

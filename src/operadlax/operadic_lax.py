@@ -50,7 +50,8 @@ trajectories the G's vanish, so the family solves the Lax equation; on
 phase space that is the transport equation X(mu) = [M, mu] along
 Hamilton's field X, which moves a as R a.  The whole chain is verified end
 to end by ``verify_lax_representation``, which takes d(mu)/dt on the flow
-exactly as K(C) R a.
+exactly as K(C) R a; ``sample_rows`` samples the same flow as rows of one
+block, writing the aux and K(C) a through the same helper.
 
 Component order everywhere (flat index alpha = 0..7, 1-based labels):
 
@@ -81,6 +82,7 @@ from .oscillator import (
     aux_exact_flow,
     aux_generator,
     energy,
+    exact_path,
     hamilton_generator,
 )
 
@@ -95,6 +97,7 @@ __all__ = [
     "closed_form_mu",
     "closed_form_path",
     "step_defect",
+    "sample_rows",
     "verify_lax_representation",
 ]
 
@@ -328,16 +331,63 @@ def _max_gap(a, b, out) -> float:
     return float(np.max(np.abs(np.subtract(a, b, out=out), out=out)))
 
 
-def _verify_blocks(n: int) -> tuple[np.ndarray, ...]:
-    """C-contiguous float blocks of component rows for an n-sample verify
-    call: the (4, n) aux stack, mu_cf and the shared buffer, (8, n) each,
-    and the (2, n) (q, p) rows, all views of one fresh allocation.  One,
-    not four: once glibc frees a block this large it raises its mmap and
-    trim thresholds to fit, so the next call's block comes from the heap
-    without mapping fresh pages (four separate blocks fault far more)."""
-    flat = np.empty(22 * n)
-    return (flat[: 4 * n].reshape(4, n), flat[4 * n : 12 * n].reshape(8, n),
-            flat[12 * n : 20 * n].reshape(8, n), flat[20 * n :].reshape(2, n))
+def _check_grid(t_end: float, steps: int) -> None:
+    """Refuse a grid of steps + 1 samples of [0, t_end] that no run moves along."""
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not t_end / steps > 0:  # a step that underflows moves no RK4 run
+        raise ValueError(f"step t_end / steps must be positive, got {t_end} / {steps}")
+
+
+def _closed_form_rows(a0: AuxValues, omega: float, ts: np.ndarray, c: np.ndarray,
+                      out: np.ndarray) -> tuple[np.ndarray, float]:
+    """The aux flow of a0 over ts, then the closed form K(C) a on it, as the
+    (12, N) rows ``out``; returns K(C) and its scale (``_k_matrix``)."""
+    _aux_rows(aux_exact_flow(a0, omega, ts), out=out[:4])
+    k, scale = _k_matrix(c)
+    _times_k(k, scale, out[:4], out=out[4:])
+    return k, scale
+
+
+def sample_rows(params: SolutionParams, s0: OscState, t_end: float, steps: int,
+                integrator: str) -> np.ndarray:
+    """``simulate``'s table, transposed: one C-contiguous (17, steps + 1)
+    block of rows over [0, t_end], namely t, q, p, H, the aux (A+, A-, D+,
+    D-), the eight mu components and their ``step_defect``.  ``"exact"``
+    takes (q, p) from ``exact_path`` and the rest from the closed form on
+    ``aux_exact_flow``; ``"rk4"`` integrates (q, p), the aux and mu as
+    ``rk4_linear_path`` does, from s0, ``aux_algebraic(s0)`` and
+    ``closed_form_mu`` of that.  A bad integrator or grid raises
+    ``ValueError``; a non-finite RK4 state or sample, ``IntegrationError``.
+    """
+    if integrator not in ("exact", "rk4"):
+        raise ValueError(f"integrator must be exact or rk4, got {integrator!r}")
+    _check_grid(t_end, steps)
+    omega = s0.omega
+    a0 = aux_algebraic(s0)
+    rows = np.empty((17, steps + 1))
+    rows[0] = ts = np.linspace(0.0, t_end, steps + 1)
+
+    # overflow leaves non-finite values, which the scan at the end reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        if integrator == "exact":
+            rows[1], rows[2] = exact_path(s0, ts)
+            _closed_form_rows(a0, omega, ts, params.values, rows[4:16])
+        else:
+            def rk4(generator, y0, out):
+                _check_states("", _rk4_linear_rows(generator, y0, t_end, steps, out), ts)
+
+            rk4(hamilton_generator(omega), [s0.q, s0.p], rows[1:3])
+            rk4(aux_generator(omega), _aux_rows(a0), rows[4:8])
+            rk4(lax_generator(omega), closed_form_mu(a0, params).values, rows[8:16])
+        rows[3] = energy(rows[1], rows[2], omega)
+        rows[16] = step_defect(rows[8:16].T, omega, t_end / steps)
+    if not np.isfinite(rows).all():
+        bad = int(np.argmin(np.isfinite(rows).all(axis=0)))  # the first bad sample
+        raise IntegrationError(f"non-finite value in sample {bad}")
+    return rows
 
 
 def verify_lax_representation(
@@ -367,13 +417,13 @@ def verify_lax_representation(
     (classical RK4, equal to a step-by-step loop up to rounding): the mu
     run with ``lax_generator``, the (q, p) run with Hamilton's generator.
     The grid ts and each generator are formed once per call.  Every
-    per-sample block is component-major, contiguous (d, N) rows: the (4, N)
-    aux stack, the (8, N) closed form and shared buffer, and the (2, N)
-    (q, p) rows.  So each product (K(C) @ stack, the RK4 ladder's
-    P^s @ rows, the bracket A @ mu) runs along the long sample axis, and
-    the norms and energies read contiguous rows.
+    per-sample array is rows of one component-major (22, N) block: the aux
+    stack and closed form, as ``sample_rows`` writes its rows 4-15, the
+    shared buffer and (q, p).  So each product (K(C) @ stack, the RK4
+    ladder's P^s @ rows, the bracket A @ mu) runs along the long sample
+    axis, and the norms and energies read contiguous rows.
 
-    A step t_end / steps that underflows to 0 raises ``ValueError``.
+    A bad grid (as ``sample_rows`` refuses it) or tol raises ``ValueError``.
     Each check passes iff its max residual is <= tol.  A non-finite closed
     form raises ``IntegrationError`` before the RK4 run it would seed, and
     so do a non-finite RK4 state and a non-finite d(mu)/dt - [M, mu].  Each
@@ -381,25 +431,22 @@ def verify_lax_representation(
     runs only when the reduction is non-finite; a reduction that overflows
     over finite rows is reported as it is (``Infinity`` in the CLI).
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    _check_grid(t_end, steps)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if not t_end / steps > 0:  # a step that underflows moves neither RK4 run
-        raise ValueError(f"step t_end / steps must be positive, got {t_end} / {steps}")
     omega = s0.omega
     ts = np.linspace(0.0, t_end, steps + 1)
     generator = lax_generator(omega)
-    # buf, the one other (8, N) block: the norms' squares, the RK4 run of mu
-    # and its gap, then [M, mu] and the squares of d(mu)/dt - [M, mu]
-    stack, mu_cf, buf, qp = _verify_blocks(steps + 1)
+    # one fresh block, not four: once glibc frees a block this large it
+    # raises its mmap and trim thresholds to fit, so the next call's block
+    # comes from the heap without mapping fresh pages.  buf, the one other
+    # (8, N) block: the norms' squares, the RK4 run of mu and its gap, then
+    # [M, mu] and the squares of d(mu)/dt - [M, mu]
+    block = np.empty((22, steps + 1))
+    stack, mu_cf, buf, qp = block[:4], block[4:12], block[12:20], block[20:]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        _aux_rows(aux_exact_flow(aux_algebraic(s0), omega, ts), out=stack)
-        k, scale = _k_matrix(params.values)
-        _times_k(k, scale, stack, out=mu_cf)
+        k, scale = _closed_form_rows(aux_algebraic(s0), omega, ts, params.values, block[:12])
         norms = _sample_norms(mu_cf, out=buf)
         # past an infinite first norm the gaps are inf - inf; that drift is infinite
         norm_drift = _max_gap(norms, norms[0], norms) if math.isfinite(norms[0]) else math.inf

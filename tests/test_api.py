@@ -51,7 +51,8 @@ def test_all_is_unique_resolvable_and_keeps_earlier_names():
         assert getattr(operadlax, name) is not None
     assert len(EARLIER_NAMES) == 30
     assert set(EARLIER_NAMES) <= set(names)
-    assert len(names) == 39
+    assert len(names) == 40  # 39, and sample_rows
+    assert "sample_rows" in names
     for name in REMOVED_NAMES:
         assert name not in names
         assert not hasattr(operadlax, name)
@@ -61,7 +62,10 @@ def test_cli_imports_only_public_names_and_does_no_physics():
     tree = ast.parse(inspect.getsource(cli))
     imported = [alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
-    assert imported
+    assert sorted(imported) == sorted([
+        "format_json", "format_rows", "axiom_suites", "COMPONENT_NAMES", "SolutionParams",
+        "sample_rows", "verify_lax_representation", "IntegrationError", "OscState",
+    ])
     assert [name for name in imported if name.startswith("_")] == []
     attributes = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert attributes & {"np.cos", "np.sin", "np.kron", "np.linalg"} == set()

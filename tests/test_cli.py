@@ -16,15 +16,22 @@ import pytest
 import operadlax
 from operadlax import (
     OscState,
+    SolutionParams,
     _g17,
     aux_algebraic,
     aux_exact_flow,
+    aux_generator,
     cli,
+    closed_form_mu,
     closed_form_path,
     energy,
     exact_flow,
     exact_path,
+    hamilton_generator,
+    lax_generator,
     operad,
+    rk4_linear_path,
+    sample_rows,
     step_defect,
 )
 
@@ -36,6 +43,13 @@ HEADER = (
 C1 = "1,0,0,0,0,0,0,0"
 # the error line for q0 = 1e200 at p0 = 2, omega = 1
 INFINITE_ENERGY = "error: energy H of (q, p, omega) = (1e+200, 2.0, 1.0) is not a finite double"
+
+
+def config_rows(cfg, integrator="exact"):
+    """``sample_rows`` on a RunConfig's keys, as ``simulate`` calls it."""
+    params = SolutionParams(cfg.resolved_c())
+    return sample_rows(params, OscState(cfg.q0, cfg.p0, cfg.omega), cfg.t_end, cfg.steps,
+                       integrator)
 
 
 def run(capsys, argv):
@@ -201,10 +215,20 @@ def test_simulate_rk4_residual_column_shrinks_with_dt(capsys):
 def test_simulate_rk4_residual_column_is_the_step_defect():
     # test_simulate_columns_come_from_the_library pins the exact integrator's
     cfg = cli.RunConfig(omega=1.3, q0=0.4, p0=-1.1, t_end=5.0, steps=50, seed=3)
-    columns = cli._simulate_samples(cfg, "rk4")
-    mu = np.stack(columns[8:16], axis=1)
-    np.testing.assert_array_equal(columns[16], step_defect(mu, 1.3, 0.1))
-    assert columns[16][0] == 0.0
+    rows = config_rows(cfg, "rk4")
+    mu = rows[8:16].T
+    np.testing.assert_array_equal(rows[16], step_defect(mu, 1.3, 0.1))
+    assert rows[16][0] == 0.0
+    # each run is rk4_linear_path of its generator, seeded from the state
+    s0 = OscState(0.4, -1.1, 1.3)
+    a0 = aux_algebraic(s0)
+    seed = closed_form_mu(a0, SolutionParams(cfg.resolved_c())).values
+    for block, generator, y0 in [(rows[1:3], hamilton_generator(1.3), [0.4, -1.1]),
+                                 (rows[4:8], aux_generator(1.3), astuple(a0)),
+                                 (rows[8:16], lax_generator(1.3), seed)]:
+        ts, ys = rk4_linear_path(generator, y0, 5.0, 50)
+        assert block.tobytes() == ys.T.tobytes()
+        assert rows[0].tobytes() == ts.tobytes()
 
 
 def test_simulate_deterministic_file_output(tmp_path, capsys):
@@ -241,7 +265,7 @@ def test_simulate_columns_come_from_the_library():
     aux = astuple(flow)
     mu = closed_form_path(flow, cfg.resolved_c())
     want = [ts, q, p, energy(q, p, 1.3), *aux, *mu.T, step_defect(mu, 1.3, 0.1)]
-    got = cli._simulate_samples(cfg, "exact")
+    got = config_rows(cfg, "exact")
     assert len(got) == len(want) == len(HEADER.split(","))
     for column, expected in zip(got, want):
         np.testing.assert_array_equal(column, expected)
@@ -249,6 +273,14 @@ def test_simulate_columns_come_from_the_library():
     for k, t in enumerate(ts):
         assert exact_flow(s0, t) == OscState(q[k], p[k], 1.3)
         assert astuple(aux_exact_flow(a0, 1.3, t)) == tuple(x[k] for x in aux)
+
+
+@pytest.mark.parametrize("integrator", ["exact", "rk4"])
+def test_sample_rows_is_one_c_contiguous_block_of_header_rows(integrator):
+    cfg = cli.RunConfig(omega=1.3, q0=0.4, p0=-1.1, t_end=5.0, steps=50, seed=3)
+    rows = config_rows(cfg, integrator)
+    assert rows.flags.c_contiguous
+    assert rows.shape == (len(cli.CSV_HEADER.split(",")), 51)
 
 
 def reference_csv(table):
@@ -267,15 +299,22 @@ def table_text(table, fmt):
     return b"".join(cli._table_chunks(table, fmt)).decode("ascii")
 
 
+# a table at 2049 rows, across the formatter's blocks of 1024 rows
+EDGE_CONFIG = cli.RunConfig(omega=1.7, q0=0.4, p0=-1.2, t_end=37.0, steps=2048, seed=14)
+EDGE_ROWS = (1, 1023, 1024, 1025, 2049)
+
+
 def test_format_table_matches_reference_formatters():
     cfg = cli.RunConfig(omega=2.3, q0=-0.7, p0=1.9, t_end=7.0, steps=300, seed=4)
-    samples = np.column_stack(cli._simulate_samples(cfg, "exact"))
+    samples = np.ascontiguousarray(config_rows(cfg, "exact").T)
     awkward = np.resize(
         [-0.0, 0.0, 5e-324, 1e300, -1e-17, 123456789012345678.0, 2.0, -3.0,
          0.1, 1e16, 1e-5, 1e22, -2.2250738585072014e-308, 1.7976931348623157e308],
         (3, 17),
     )
-    for table in (samples, awkward, samples[:1]):
+    # and simulate's own input, the transposed view of the block
+    transposed = config_rows(EDGE_CONFIG, "exact").T
+    for table in (samples, awkward, samples[:1], *(transposed[:n] for n in EDGE_ROWS)):
         assert table_text(table, "csv") == reference_csv(table)
         assert table_text(table, "json") == reference_json(table)
 
@@ -285,16 +324,17 @@ def test_format_table_matches_reference_formatters():
 def test_simulate_writes_the_same_bytes_to_file_and_stdout(tmp_path, capsys, monkeypatch,
                                                            rows, fmt):
     # tables of one row, two rows and around the formatter's block edges
-    # (1024 rows); simulate itself never makes fewer than three rows
-    cfg = cli.RunConfig(omega=1.7, q0=0.4, p0=-1.2, t_end=37.0, steps=2048, seed=14)
-    table = np.column_stack(cli._simulate_samples(cfg, "exact"))[:rows]
-    monkeypatch.setattr(cli, "_simulate_samples", lambda cfg, integrator: list(table.T))
-    code, out, err = run(capsys, ["simulate", "--format", fmt])
-    assert (code, err) == (0, "")
-    path = tmp_path / f"table.{fmt}"
-    assert run(capsys, ["simulate", "--format", fmt, "--out", str(path)]) == (0, "", "")
-    reference = reference_csv if fmt == "csv" else reference_json
-    assert path.read_bytes() == out.encode() == reference(table).encode()
+    # (1024 rows); simulate itself never makes fewer than three rows.  Each
+    # is formatted both C-contiguous and as the transposed view of the block
+    transposed = config_rows(EDGE_CONFIG, "exact").T[:rows]
+    for table in (np.ascontiguousarray(transposed), transposed):
+        monkeypatch.setattr(cli, "sample_rows", lambda *args, table=table: table.T)
+        code, out, err = run(capsys, ["simulate", "--format", fmt])
+        assert (code, err) == (0, "")
+        path = tmp_path / f"table.{fmt}"
+        assert run(capsys, ["simulate", "--format", fmt, "--out", str(path)]) == (0, "", "")
+        reference = reference_csv if fmt == "csv" else reference_json
+        assert path.read_bytes() == out.encode() == reference(table).encode()
 
 
 def test_simulate_non_finite_sample_writes_no_file(tmp_path, capsys):

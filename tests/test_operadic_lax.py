@@ -4,6 +4,7 @@ and the end-to-end verification pipeline."""
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -33,6 +34,7 @@ from operadlax import (
     m_matrix,
     operadic_lax,
     rk4_linear_path,
+    sample_rows,
     step_defect,
     verify_lax_representation,
 )
@@ -638,6 +640,32 @@ def test_verify_refuses_bad_t_end(t_end):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^t_end must be positive, got {t_end}$"):
             verify_lax_representation(params_unit(0), CANONICAL, t_end, 10, 1e-6)
+
+
+def test_sample_rows_refuses_an_unknown_integrator():
+    for integrator in ("euler", "RK4", "", None):
+        with pytest.raises(ValueError, match=rf"^integrator must be exact or rk4, got {integrator!r}$"):
+            sample_rows(params_unit(0), CANONICAL, 1.0, 10, integrator)
+
+
+@pytest.mark.parametrize("t_end, steps, message", [
+    (1.0, 1, "steps must be >= 2, got 1"),
+    (1.0, -3, "steps must be >= 2, got -3"),
+    (math.nan, 10, "t_end must be positive, got nan"),
+    (math.inf, 10, "t_end must be positive, got inf"),
+    (0.0, 10, "t_end must be positive, got 0.0"),
+    (-1.0, 10, "t_end must be positive, got -1.0"),
+    (5e-324, 2, "step t_end / steps must be positive, got 5e-324 / 2"),
+])
+def test_sample_rows_refuses_the_grids_verify_refuses(t_end, steps, message):
+    # one grid check serves both: the same input, the same message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for integrator in ("exact", "rk4"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sample_rows(params_unit(0), CANONICAL, t_end, steps, integrator)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_lax_representation(params_unit(0), CANONICAL, t_end, steps, 1e-6)
 
 
 def test_verify_report_structure():

@@ -1,7 +1,9 @@
 """Print the cost per value of ``simulate``'s output formatting and writing.
 
 Times two paths, CSV and JSON, on the exact-integrator sample tables of a
-1000-step and a 20000-step ``simulate`` run (17 values per row):
+1000-step and a 20000-step ``simulate`` run (17 values per row), each the
+transposed view of ``sample_rows``' block, as ``simulate`` formats it (or,
+on a tree without it, the ``cli._simulate_samples`` columns stacked):
 
 * ``text``: the whole text in memory, the chunks of ``cli._table_chunks``
   joined (or, on a tree without them, ``cli._format_table``);
@@ -14,9 +16,9 @@ Each path runs once untimed per format first, which builds whatever the
 formatter builds on first use.  Each figure is the best of several runs.
 JSON runs first at each size, the order of the figures taken before JSON
 had its own kernel, when its ``%`` template ran up to twice as slow right
-after a large CSV table.  It uses only names the CLI has had since its
-sample table and formatter were split, or falls back as above, so it runs
-on older trees too:
+after a large CSV table.  It uses only names the package has had since
+the sample table and formatter were split, or falls back as above, so it
+runs on older trees too:
 
     PYTHONPATH=src python tools/format_timing.py
 
@@ -31,6 +33,7 @@ import time
 
 import numpy as np
 
+import operadlax
 from operadlax import cli
 
 REPEAT = 7
@@ -45,6 +48,14 @@ def best_seconds(fn, after=lambda: None) -> float:
         best = min(best, time.perf_counter() - start)
         after()
     return best
+
+
+def sample_table(cfg):
+    if hasattr(operadlax, "sample_rows"):
+        params = operadlax.SolutionParams(cfg.resolved_c())
+        s0 = operadlax.OscState(cfg.q0, cfg.p0, cfg.omega)
+        return operadlax.sample_rows(params, s0, cfg.t_end, cfg.steps, "exact").T
+    return np.column_stack(cli._simulate_samples(cfg, "exact"))
 
 
 def table_text(table, fmt):
@@ -72,7 +83,7 @@ def main():
                           lambda: os.unlink(path))}
         for steps in STEPS:
             cfg = cli.RunConfig(omega=1.7, q0=0.4, p0=-1.2, t_end=37.0, steps=steps, seed=14)
-            table = np.column_stack(cli._simulate_samples(cfg, "exact"))
+            table = sample_table(cfg)
             for fmt in ("json", "csv"):
                 for name, (fn, after) in paths.items():
                     fn(table, fmt)
